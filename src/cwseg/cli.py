@@ -335,6 +335,14 @@ def cmd_gen_weights(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_schedule_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--schedule", choices=("always", "fixed", "adaptive"),
                      default="always", help="stage firing rule")
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = subs.add_parser("bench", help="time a schedule against full inference")
     be.add_argument("manifest", help="frame list file")
     be.add_argument("--weights", required=True, help="CWFCN1 weight store")
-    be.add_argument("--repeat", type=int, default=1,
+    be.add_argument("--repeat", type=_positive_int, default=1,
                     help="passes over the sequence per arm")
     _add_schedule_flags(be)
     _add_palette_flag(be)

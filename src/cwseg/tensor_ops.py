@@ -5,6 +5,14 @@ width) with dtype float32, referred to as "tensors" throughout the package.
 Every kernel here is a pure function: inputs are never mutated and identical
 inputs produce bit-identical outputs, so tensors can be shared freely across
 threads.
+
+``conv2d`` lowers each convolution to a float64 im2col matrix times the
+float64 weights. It builds that matrix one band of output rows at a time, so
+the column buffer stays near ``IM2COL_BAND_BYTES`` and in cache, instead of
+holding every output pixel at once. Banding splits only the output pixels;
+each output value is still one dot product over the full kernel volume, so
+results are bit-identical to the unbanded product. ``maxpool2d`` folds the
+window's strided slices together with elementwise maximum, which is exact.
 """
 from __future__ import annotations
 
@@ -17,6 +25,10 @@ from .errors import ShapeError
 
 # Type alias for readability; a tensor is a float32 ndarray shaped (C, H, W).
 Tensor = np.ndarray
+
+# Size of one band's float64 im2col buffer in conv2d: half of a 2 MB L2 cache,
+# leaving room for the weights and the band's GEMM result.
+IM2COL_BAND_BYTES = 1 << 20
 
 
 def as_chw(data) -> Tensor:
@@ -80,6 +92,14 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     Output spatial dims follow floor((dim + 2*pad - kernel) / stride) + 1.
     Accumulation runs in float64 so results track the straightforward
     summation oracle; the result is cast back to float32.
+
+    The im2col matrix is built and multiplied in bands of whole output rows,
+    as many as fit in ``IM2COL_BAND_BYTES`` of float64 columns (at least
+    one row); a layer whose float64 weights alone exceed that budget runs
+    as a single band. Each band's result is written straight into the
+    float32 output. Only the output-pixel dimension is split, so every
+    output value is the same full-length dot product as in a single
+    unbanded GEMM, and the result is bit-identical to it.
     """
     x = as_chw(x)
     c, h, w = x.shape
@@ -102,35 +122,63 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         shape=(c, p.kernel_h, p.kernel_w, oh, ow),
         strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
     )
-    cols = np.ascontiguousarray(patches, dtype=np.float64)
-    cols = cols.reshape(c * p.kernel_h * p.kernel_w, oh * ow)
-    acc = p.weights.reshape(p.out_channels, -1).astype(np.float64) @ cols
-    acc += p.bias.astype(np.float64)[:, None]
-    out = acc.astype(np.float32).reshape(p.out_channels, oh, ow)
+    k = c * p.kernel_h * p.kernel_w
+    if 8 * p.out_channels * k > IM2COL_BAND_BYTES:
+        # Each band's GEMM re-packs the whole weight matrix. When that matrix
+        # alone overflows the budget, bands cannot stay in cache and only
+        # add repacking, so the layer runs as one band.
+        band_rows = oh
+    else:
+        band_rows = min(oh, max(1, IM2COL_BAND_BYTES // (8 * k * ow)))
+    cols_buf = np.empty(k * band_rows * ow, dtype=np.float64)
+    # One GEMM result buffer serves every band; a fresh one per band leaves
+    # the heap more fragmented and raised peak memory.
+    acc_buf = np.empty(p.out_channels * band_rows * ow, dtype=np.float64)
+    w64 = p.weights.reshape(p.out_channels, k).astype(np.float64)
+    b64 = p.bias.astype(np.float64)[:, None]
+    out = np.empty((p.out_channels, oh, ow), dtype=np.float32)
+    for r0 in range(0, oh, band_rows):
+        rows = min(band_rows, oh - r0)
+        n = rows * ow
+        cols = cols_buf[: k * n].reshape(k, n)
+        np.copyto(cols.reshape(patches.shape[:3] + (rows, ow)),
+                  patches[:, :, :, r0 : r0 + rows])
+        acc = np.matmul(w64, cols, out=acc_buf[: p.out_channels * n]
+                        .reshape(p.out_channels, n))
+        acc += b64
+        out[:, r0 : r0 + rows] = acc.reshape(p.out_channels, rows, ow)
     if not np.isfinite(out).all():
         raise ValueError("conv2d produced non-finite values")
     return out
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Per-channel sliding max over square windows."""
+    """Per-channel sliding max over square windows.
+
+    Folds the ``window * window`` strided slices of ``x`` (one per offset
+    inside the window) into a copy of the first with elementwise maximum.
+    Max is exact, so the fold order cannot change the result. The output
+    owns its memory.
+    """
     x = as_chw(x)
     if window < 1 or stride < 1:
         raise ShapeError("maxpool2d: window and stride must be positive")
-    c, h, w = x.shape
+    _, h, w = x.shape
     if window > h or window > w:
         raise ShapeError(
             f"maxpool2d: window {window} larger than input {h}x{w}"
         )
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    sc, sh, sw = x.strides
-    patches = as_strided(
-        x,
-        shape=(c, oh, ow, window, window),
-        strides=(sc, stride * sh, stride * sw, sh, sw),
-    )
-    return patches.max(axis=(3, 4))
+    span_h = (h - window) // stride * stride + 1
+    span_w = (w - window) // stride * stride + 1
+    slices = [
+        x[:, dy : dy + span_h : stride, dx : dx + span_w : stride]
+        for dy in range(window)
+        for dx in range(window)
+    ]
+    out = slices[0].copy()
+    for v in slices[1:]:
+        np.maximum(out, v, out=out)
+    return out
 
 
 def relu(x: Tensor) -> Tensor:

@@ -237,6 +237,16 @@ def test_bench_always_work_ratio_is_one(tmp_path, weights_file):
     assert report["full"]["firings"]["stage3"] == 3
 
 
+def test_bench_repeat_below_one_is_usage_error(tmp_path, weights_file):
+    manifest = write_frames(tmp_path, random_frames(9, 1))
+    for bad in ("0", "-1", "two"):
+        proc = run_cli("bench", manifest, "--weights", weights_file,
+                       "--repeat", bad)
+        assert proc.returncode == 2, proc.stderr
+        assert "--repeat" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_bench_static_adaptive_fires_once(tmp_path, weights_file):
     frames = [random_frames(10, 1)[0]] * 16
     manifest = write_frames(tmp_path, frames)

@@ -15,6 +15,7 @@ from cwseg import (
     relu,
     upsample_bilinear,
 )
+from cwseg.tensor_ops import IM2COL_BAND_BYTES
 from oracles import conv2d_oracle, maxpool2d_oracle, upsample_bilinear_oracle
 
 
@@ -167,6 +168,62 @@ def test_conv_is_pure(x, seed):
     assert x.tobytes() == before
 
 
+def untiled_conv2d(x, p):
+    """One float64 GEMM over every output pixel, im2col built by slicing."""
+    c, h, w = x.shape
+    s = p.stride
+    xp = np.pad(x, ((0, 0), (p.pad, p.pad), (p.pad, p.pad)))
+    oh = (h + 2 * p.pad - p.kernel_h) // s + 1
+    ow = (w + 2 * p.pad - p.kernel_w) // s + 1
+    cols = np.empty((c, p.kernel_h, p.kernel_w, oh * ow), dtype=np.float64)
+    for ci in range(c):
+        for ky in range(p.kernel_h):
+            for kx in range(p.kernel_w):
+                cols[ci, ky, kx] = xp[ci, ky : ky + s * (oh - 1) + 1 : s,
+                                      kx : kx + s * (ow - 1) + 1 : s].ravel()
+    w64 = p.weights.reshape(p.out_channels, -1).astype(np.float64)
+    acc = w64 @ cols.reshape(-1, oh * ow)
+    acc += p.bias.astype(np.float64)[:, None]
+    return acc.astype(np.float32).reshape(p.out_channels, oh, ow)
+
+
+# (channels, height, width, kernel, stride, pad, out_channels); each case
+# is checked below to span the band layout its comment names.
+BAND_CASES = [
+    (3, 10, 1200, 3, 1, 1, 4),   # 4 rows per band: 4, 4, 2
+    (4, 23, 1500, 3, 2, 0, 5),   # stride 2: 4, 4, 3
+    (2, 30, 2000, 3, 1, 0, 3),   # 3 rows per band, last band one row
+    (3, 9, 9800, 3, 2, 1, 2),    # one output row is wider than a band
+    (64, 6, 40, 7, 1, 3, 48),    # weights exceed the budget: one band
+]
+
+
+@pytest.mark.parametrize("c,h,w,k,stride,pad,oc", BAND_CASES)
+def test_conv_bands_match_untiled_gemm_bytes(c, h, w, k, stride, pad, oc):
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
+    row_bytes = 8 * c * k * k * ow
+    if 8 * oc * c * k * k > IM2COL_BAND_BYTES:
+        assert row_bytes <= IM2COL_BAND_BYTES < oh * row_bytes
+    elif row_bytes > IM2COL_BAND_BYTES:
+        assert oh >= 3
+    else:
+        band_rows = IM2COL_BAND_BYTES // row_bytes
+        assert oh > 2 * band_rows and oh % band_rows != 0
+    rng = np.random.default_rng(c * 1000 + w)
+    x = rng.uniform(-1, 1, (c, h, w)).astype(np.float32)
+    p = ConvParams(
+        oc, c, k, k,
+        rng.uniform(-1, 1, (oc, c, k, k)).astype(np.float32),
+        rng.uniform(-1, 1, oc).astype(np.float32),
+        stride=stride, pad=pad,
+    )
+    got = conv2d(x, p)
+    want = untiled_conv2d(x, p)
+    assert got.shape == (oc, oh, ow) and got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # maxpool2d / relu
 
@@ -204,6 +261,26 @@ def test_maxpool_matches_loop_oracle(x, window, stride):
         return
     got = maxpool2d(x, window, stride)
     np.testing.assert_array_equal(got, maxpool2d_oracle(x, window, stride))
+
+
+@pytest.mark.parametrize("window,stride", [(3, 2), (1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("shape", [(2, 13, 17), (1, 16, 16), (3, 9, 24)])
+def test_maxpool_matches_loop_oracle_on_larger_maps(shape, window, stride):
+    x = np.random.default_rng(sum(shape)).uniform(-1, 1, shape).astype(np.float32)
+    got = maxpool2d(x, window, stride)
+    want = maxpool2d_oracle(x, window, stride)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window,stride", [(1, 1), (2, 2), (3, 2)])
+def test_maxpool_output_owns_its_memory(window, stride):
+    x = np.random.default_rng(5).uniform(-1, 1, (2, 8, 9)).astype(np.float32)
+    before = x.copy()
+    out = maxpool2d(x, window, stride)
+    assert not np.shares_memory(out, x)
+    out[...] = 7.0
+    assert x.tobytes() == before.tobytes()
 
 
 def test_relu_examples():
