@@ -35,10 +35,12 @@ from .scheduler import (
     Fixed,
     PersistedState,
     SkipPolicy,
+    Stage1Result,
     StageTrace,
     run_sequence,
     should_fire,
     step,
+    time_stage1,
 )
 from .metrics import (
     BinaryStats,

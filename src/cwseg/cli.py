@@ -6,9 +6,15 @@ Exit codes: 0 success, 2 usage errors, 3 file/format errors, 4 contract or
 shape errors. Reports are plain JSON on stdout; the segment command also
 writes one palette mask per frame plus a line-delimited JSON trace file.
 
+The segment command always uses one helper thread: it decodes frame k+1 and
+runs its stage 1 while the main thread runs the rest of frame k and writes
+its outputs, never more than one frame ahead. Masks and score maps are the
+same bytes as in a serial run, and a frame that fails stops the run at its
+own turn.
+
 The eval command shards frames across a thread pool (confusion matrices
 merge exactly, so the result is order-independent); CWSEG_THREADS caps the
-worker count.
+worker count of that pool only.
 """
 from __future__ import annotations
 
@@ -44,9 +50,11 @@ from .scheduler import (
     ClockSchedule,
     Fixed,
     SkipPolicy,
+    Stage1Result,
     StageTrace,
     run_sequence,
     step,
+    time_stage1,
 )
 
 _STAGE_LABELS = tuple(s.label for s in StageId)
@@ -115,6 +123,12 @@ def _firing_counts(traces) -> dict[str, int]:
     return counts
 
 
+def _read_stage1(net: StagedNet, frame_path) -> Stage1Result:
+    """Decode a frame and run its stage 1; the segment loop's helper-thread
+    job."""
+    return time_stage1(net, read_image(frame_path))
+
+
 def cmd_segment(args) -> int:
     palette = parse_palette(args.palette)
     manifest = read_manifest(args.manifest, palette)
@@ -124,7 +138,8 @@ def cmd_segment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    first = read_image(manifest.frames[0])
+    frames = manifest.frames
+    first = read_image(frames[0])
     net = _load_net(args.weights, first.shape)
     if net.cfg.num_classes > len(palette):
         raise ContractError(
@@ -135,42 +150,38 @@ def cmd_segment(args) -> int:
     traces = []
     state = None
     trace_path = out_dir / "trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as trace_file:
-        for index, frame_path in enumerate(manifest.frames):
-            frame = first if index == 0 else read_image(frame_path)
-            mask, state, trace = step(net, schedule, policy, state, frame)
+    # One helper thread decodes frame k+1 and runs its stage 1 while this
+    # thread runs the rest of frame k; it is never more than a frame ahead.
+    with open(trace_path, "w", encoding="utf-8") as trace_file, \
+            ThreadPoolExecutor(max_workers=1) as helper:
+        for index, frame_path in enumerate(frames):
+            frame = first if index == 0 else ahead.result()
+            first = None
+            # Frame 1 goes to the helper only after frame 0's step, so
+            # starting the thread never delays frame 0.
+            if 0 < index < len(frames) - 1:
+                ahead = helper.submit(_read_stage1, net, frames[index + 1])
+            mask, state, trace, scores = step(net, schedule, policy, state,
+                                              frame)
+            if index == 0 and len(frames) > 1:
+                ahead = helper.submit(_read_stage1, net, frames[1])
             write_mask(mask, palette, out_dir / f"{frame_path.stem}.ppm")
             if args.save_scores:
-                if (StageId.STAGE3 in trace.fired
-                        or policy is SkipPolicy.REUSE_FINAL):
-                    scores = state.cached_final
-                else:
-                    scores = _refuse_scores(net, state)
                 write_weights({"scores": scores},
                               out_dir / f"{frame_path.stem}.scores.cwf")
+            # Hold no frame-sized array into the next frame's step.
+            del frame, mask, scores
             traces.append(trace)
             trace_file.write(json.dumps(_trace_record(trace, frame_path)) + "\n")
 
     summary = {
-        "frames": len(manifest.frames),
+        "frames": len(frames),
         "out_dir": str(out_dir),
         "trace": str(trace_path),
         "firings": _firing_counts(traces),
     }
     print(json.dumps(summary, indent=2))
     return 0
-
-
-def _refuse_scores(net: StagedNet, state):
-    """Scores for a fuse-cached-deep frame where stage 3 was skipped: the
-    same fusion the step performed, rebuilt from the advanced state (whose
-    pool3/pool4 caches are the freshest maps)."""
-    from .net import fuse_and_upsample
-
-    return fuse_and_upsample(
-        net, state.cached_score_fr, state.cached_score_pool4,
-        state.cached_score_pool3,
-    )
 
 
 def _eval_worker_count() -> int:

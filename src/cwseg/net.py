@@ -206,6 +206,13 @@ def _conv(net: StagedNet, name: str, x: Tensor, work: Optional[WorkCounter]) -> 
     return out
 
 
+def _conv_relu(net: StagedNet, name: str, x: Tensor,
+               work: Optional[WorkCounter]) -> Tensor:
+    """Conv, then relu in place on its fresh output (no second map)."""
+    out = _conv(net, name, x, work)
+    return relu(out, out=out)
+
+
 def _check_input(net: StagedNet, x: Tensor, channels: int, h: int, w: int, what: str) -> Tensor:
     x = as_chw(x)
     expected = (channels, h, w)
@@ -223,7 +230,7 @@ def run_stage1(net, frame: Tensor, work: WorkCounter | None = None):
     x = _check_input(net, frame, cfg.in_channels, cfg.height, cfg.width, "frame")
     for pair in (("conv1_1", "conv1_2"), ("conv2_1", "conv2_2"), ("conv3_1", "conv3_2")):
         for name in pair:
-            x = relu(_conv(net, name, x, work))
+            x = _conv_relu(net, name, x, work)
         x = maxpool2d(x, 2, 2)
     return x, _conv(net, "score_pool3", x, work)
 
@@ -236,7 +243,7 @@ def run_stage2(net, pool3_features: Tensor, work: WorkCounter | None = None):
         "pool3_features",
     )
     for name in ("conv4_1", "conv4_2"):
-        x = relu(_conv(net, name, x, work))
+        x = _conv_relu(net, name, x, work)
     x = maxpool2d(x, 2, 2)
     return x, _conv(net, "score_pool4", x, work)
 
@@ -248,8 +255,8 @@ def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> 
         net, pool4_features, 8 * cfg.base_width, cfg.height // 16, cfg.width // 16,
         "pool4_features",
     )
-    x = relu(_conv(net, "conv5_1", x, work))
-    x = relu(_conv(net, "conv5_2", x, work))
+    x = _conv_relu(net, "conv5_1", x, work)
+    x = _conv_relu(net, "conv5_2", x, work)
     x = maxpool2d(x, 2, 2)
     return _conv(net, "score_fr", x, work)
 

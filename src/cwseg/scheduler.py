@@ -20,13 +20,19 @@ re-runs the fusion chain with the cached score_fr and the freshest available
 score_pool4/score_pool3 (score_pool3 is always fresh). ``prev_score`` and the
 cached final scores are only refreshed when stage 3 actually fires, so the
 change signal always measures drift since the last deep computation.
+
+Stage 1 holds no state across frames, so it can run ahead of the frame
+loop: :func:`time_stage1` runs it on its own, and :func:`step` accepts the
+resulting :class:`Stage1Result` in place of the frame. The ``segment``
+command runs it for frame k+1 on a helper thread while ``step`` finishes
+frame k. :func:`run_sequence` stays serial; it is the reference.
 """
 from __future__ import annotations
 
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -91,16 +97,39 @@ class SkipPolicy(enum.Enum):
 @dataclass(frozen=True)
 class PersistedState:
     """Everything carried across frames. ``prev_score`` is the score_pool4
-    captured at the last stage-3 firing (the change reference); the cached_*
-    fields are the freshest values of each map, except cached_final and
-    cached_score_fr which also only refresh on stage-3 firings."""
+    captured at the last stage-3 firing (the change reference);
+    ``cached_score_pool4`` is the freshest score_pool4, while cached_final
+    and cached_score_fr only refresh on stage-3 firings."""
 
     prev_score: Tensor
-    cached_score_pool3: Tensor
     cached_score_pool4: Tensor
     cached_score_fr: Tensor
     cached_final: Tensor
     frames_seen: int
+
+
+@dataclass(frozen=True)
+class Stage1Result:
+    """Stage 1 of one frame, run ahead of :func:`step`: its two outputs, its
+    wall seconds and the :class:`WorkCounter` holding its convolutions.
+    ``step`` goes on recording the frame's later stages into ``work``."""
+
+    pool3: Tensor
+    score_pool3: Tensor
+    seconds: float
+    work: WorkCounter
+
+
+def time_stage1(net: StagedNet, frame: Tensor) -> Stage1Result:
+    """Run and time stage 1 of ``frame`` into a fresh WorkCounter.
+
+    Stage 1 holds no state across frames, so this may run on another thread
+    than the :func:`step` that consumes the result.
+    """
+    work = WorkCounter()
+    t0 = time.perf_counter()
+    pool3, score_pool3 = run_stage1(net, frame, work)
+    return Stage1Result(pool3, score_pool3, time.perf_counter() - t0, work)
 
 
 @dataclass(frozen=True)
@@ -152,9 +181,13 @@ def should_fire(schedule: ClockSchedule, frame_index: int,
 
 
 def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
-         state: Optional[PersistedState], frame: Tensor,
-         ) -> tuple[np.ndarray, PersistedState, StageTrace]:
+         state: Optional[PersistedState], frame: Union[Tensor, Stage1Result],
+         ) -> tuple[np.ndarray, PersistedState, StageTrace, Tensor]:
     """Process one frame: run the fired stages, produce a mask, advance state.
+
+    ``frame`` is the frame itself, or the :func:`time_stage1` result of it
+    when stage 1 already ran. Returns the mask, the new state, the trace and
+    the final score map the mask is the argmax of.
 
     ``state`` must be None exactly on the first frame of a sequence. Frames
     must keep the resolution the net was built for; drift is an error, never
@@ -164,12 +197,10 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
     if index > 0 and state is None:
         raise ContractError("state is required after frame 0")
 
-    work = WorkCounter()
-    elapsed: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    pool3, score_pool3 = run_stage1(net, frame, work)
-    elapsed["stage1"] = time.perf_counter() - t0
+    if not isinstance(frame, Stage1Result):
+        frame = time_stage1(net, frame)
+    pool3, score_pool3, work = frame.pool3, frame.score_pool3, frame.work
+    elapsed: dict[str, float] = {"stage1": frame.seconds}
 
     change: Optional[float] = None
     adaptive = isinstance(schedule, Adaptive)
@@ -197,10 +228,8 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
         t0 = time.perf_counter()
         final = fuse_and_upsample(net, score_fr, score_pool4, score_pool3)
         elapsed["fusion"] = time.perf_counter() - t0
-        mask = argmax_mask(final)
         new_state = PersistedState(
             prev_score=score_pool4,
-            cached_score_pool3=score_pool3,
             cached_score_pool4=score_pool4,
             cached_score_fr=score_fr,
             cached_final=final,
@@ -208,22 +237,16 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
         )
     else:
         if policy is SkipPolicy.REUSE_FINAL:
-            mask = argmax_mask(state.cached_final)
+            final = state.cached_final
         else:
             t0 = time.perf_counter()
             final = fuse_and_upsample(
                 net, state.cached_score_fr, score_pool4, score_pool3
             )
             elapsed["fusion"] = time.perf_counter() - t0
-            mask = argmax_mask(final)
-        new_state = PersistedState(
-            prev_score=state.prev_score,
-            cached_score_pool3=score_pool3,
-            cached_score_pool4=score_pool4,
-            cached_score_fr=state.cached_score_fr,
-            cached_final=state.cached_final,
-            frames_seen=index + 1,
-        )
+        new_state = replace(state, cached_score_pool4=score_pool4,
+                            frames_seen=index + 1)
+    mask = argmax_mask(final)
 
     trace = StageTrace(
         frame_index=index,
@@ -233,7 +256,7 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
         convs=work.stage_convs(),
         macs=work.stage_macs(),
     )
-    return mask, new_state, trace
+    return mask, new_state, trace, final
 
 
 def run_sequence(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
@@ -246,7 +269,7 @@ def run_sequence(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
     traces: list[StageTrace] = []
     state: Optional[PersistedState] = None
     for frame in frames:
-        mask, state, trace = step(net, schedule, policy, state, frame)
+        mask, state, trace, _ = step(net, schedule, policy, state, frame)
         masks.append(mask)
         traces.append(trace)
     return masks, traces

@@ -2,14 +2,17 @@
 
 All feature and score maps are numpy arrays of shape (channels, height,
 width) with dtype float32, referred to as "tensors" throughout the package.
-Every kernel here is a pure function: inputs are never mutated and identical
-inputs produce bit-identical outputs, so tensors can be shared freely across
-threads.
+Every kernel here is a pure function, except that ``relu`` writes into an
+``out`` array when given one: inputs are otherwise never mutated and
+identical inputs produce bit-identical outputs, so tensors can be shared
+freely across threads.
 
 ``conv2d`` lowers each convolution to a float64 im2col matrix times the
 float64 weights. It builds that matrix one band of output rows at a time, so
 the column buffer stays near ``IM2COL_BAND_BYTES`` and in cache, instead of
-holding every output pixel at once. Banding splits only the output pixels;
+holding every output pixel at once; layers with large weights get bands of
+up to half their float64 weight bytes. Each band pads only the input rows it
+reads, in a small zeroed buffer. Banding splits only the output pixels;
 each output value is still one dot product over the full kernel volume, so
 results are bit-identical to the unbanded product. ``maxpool2d`` folds the
 window's strided slices together with elementwise maximum, which is exact.
@@ -93,12 +96,14 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     Accumulation runs in float64 so results track the straightforward
     summation oracle; the result is cast back to float32.
 
-    The im2col matrix is built and multiplied in bands of whole output rows,
-    as many as fit in ``IM2COL_BAND_BYTES`` of float64 columns (at least
-    one row); a layer whose float64 weights alone exceed that budget runs
-    as a single band. Each band's result is written straight into the
-    float32 output. Only the output-pixel dimension is split, so every
-    output value is the same full-length dot product as in a single
+    The im2col matrix is built and multiplied in bands of whole output rows
+    (at least one row per band). A band's float64 column buffer holds at most
+    ``IM2COL_BAND_BYTES``, or half the layer's float64 weight bytes when that
+    is larger. Each band first copies just the input rows it reads into a
+    small zeroed float64 buffer, which supplies the padding, so the whole
+    input is never padded at once. Each band's result is written straight
+    into the float32 output. Only the output-pixel dimension is split, so
+    every output value is the same full-length dot product as in a single
     unbanded GEMM, and the result is bit-identical to it.
     """
     x = as_chw(x)
@@ -114,22 +119,14 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv2d: kernel {p.kernel_h}x{p.kernel_w} (stride {p.stride}, "
             f"pad {p.pad}) does not fit input {h}x{w}"
         )
-    if p.pad:
-        x = np.pad(x, ((0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-    sc, sh, sw = x.strides
-    patches = as_strided(
-        x,
-        shape=(c, p.kernel_h, p.kernel_w, oh, ow),
-        strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
-    )
     k = c * p.kernel_h * p.kernel_w
-    if 8 * p.out_channels * k > IM2COL_BAND_BYTES:
-        # Each band's GEMM re-packs the whole weight matrix. When that matrix
-        # alone overflows the budget, bands cannot stay in cache and only
-        # add repacking, so the layer runs as one band.
-        band_rows = oh
-    else:
-        band_rows = min(oh, max(1, IM2COL_BAND_BYTES // (8 * k * ow)))
+    # Each band's GEMM re-packs the whole weight matrix; bands of at least
+    # half its size keep that re-packing small next to the band's own work.
+    band_bytes = max(IM2COL_BAND_BYTES, 4 * p.out_channels * k)
+    band_rows = min(oh, max(1, band_bytes // (8 * k * ow)))
+    # Padded input rows of one band; the pad columns are never written.
+    band_in = np.zeros((c, (band_rows - 1) * p.stride + p.kernel_h,
+                        w + 2 * p.pad), dtype=np.float64)
     cols_buf = np.empty(k * band_rows * ow, dtype=np.float64)
     # One GEMM result buffer serves every band; a fresh one per band leaves
     # the heap more fragmented and raised peak memory.
@@ -140,9 +137,24 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     for r0 in range(0, oh, band_rows):
         rows = min(band_rows, oh - r0)
         n = rows * ow
+        # Padded rows [lo, lo + span) feed this band: `top` rows of padding,
+        # input rows [y0, y1), then padding to the end of the span.
+        lo = r0 * p.stride
+        span = (rows - 1) * p.stride + p.kernel_h
+        top = max(0, p.pad - lo)
+        y0, y1 = max(0, lo - p.pad), min(h, lo + span - p.pad)
+        band = band_in[:, :span]
+        band[:, :top] = 0.0
+        band[:, top : top + y1 - y0, p.pad : p.pad + w] = x[:, y0:y1]
+        band[:, top + y1 - y0 :] = 0.0
+        sc, sh, sw = band.strides
+        patches = as_strided(
+            band,
+            shape=(c, p.kernel_h, p.kernel_w, rows, ow),
+            strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
+        )
         cols = cols_buf[: k * n].reshape(k, n)
-        np.copyto(cols.reshape(patches.shape[:3] + (rows, ow)),
-                  patches[:, :, :, r0 : r0 + rows])
+        np.copyto(cols.reshape(patches.shape), patches)
         acc = np.matmul(w64, cols, out=acc_buf[: p.out_channels * n]
                         .reshape(p.out_channels, n))
         acc += b64
@@ -181,9 +193,10 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x)."""
-    return np.maximum(as_chw(x), np.float32(0.0))
+def relu(x: Tensor, out: Tensor | None = None) -> Tensor:
+    """Elementwise max(0, x), written to ``out`` when given; ``out`` may be
+    ``x`` itself, which applies relu in place."""
+    return np.maximum(as_chw(x), np.float32(0.0), out=out)
 
 
 def _axis_coords(n_in: int, factor: int):

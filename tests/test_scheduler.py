@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from cwseg import (
     run_sequence,
     should_fire,
     step,
+    time_stage1,
 )
 from testutil import fixed_sequence, make_frame, random_frames, tiny_net
 
@@ -174,18 +177,18 @@ def test_state_causality_replay():
     state = None
     mid_states = []
     for f in frames:
-        _, state, _ = step(net, Adaptive(0.01), SkipPolicy.FUSE_CACHED_DEEP,
-                           state, f)
+        _, state, _, _ = step(net, Adaptive(0.01),
+                              SkipPolicy.FUSE_CACHED_DEEP, state, f)
         mid_states.append(state)
 
     replay = None
     for f in frames[:4]:
-        _, replay, _ = step(net, Adaptive(0.01), SkipPolicy.FUSE_CACHED_DEEP,
-                            replay, f)
+        _, replay, _, _ = step(net, Adaptive(0.01),
+                               SkipPolicy.FUSE_CACHED_DEEP, replay, f)
     orig = mid_states[3]
     assert replay.frames_seen == orig.frames_seen
-    for field in ("prev_score", "cached_score_pool3", "cached_score_pool4",
-                  "cached_score_fr", "cached_final"):
+    for field in ("prev_score", "cached_score_pool4", "cached_score_fr",
+                  "cached_final"):
         assert getattr(replay, field).tobytes() == getattr(orig, field).tobytes()
 
 
@@ -207,10 +210,29 @@ def test_work_accounting_matches_firings():
         assert ("stage2" in t.elapsed) == (S2 in t.fired)
 
 
+def test_step_takes_stage1_run_on_another_thread():
+    net = tiny_net()
+    frames = random_frames(56, 4)
+    for schedule in (Always(), Fixed(2, 3), Adaptive(0.01)):
+        for policy in SkipPolicy:
+            serial = ahead = None
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                for f in frames:
+                    one = step(net, schedule, policy, serial, f)
+                    done = pool.submit(time_stage1, net, f).result()
+                    two = step(net, schedule, policy, ahead, done)
+                    serial, ahead = one[1], two[1]
+                    assert one[0].tobytes() == two[0].tobytes()
+                    assert one[3].tobytes() == two[3].tobytes()
+                    assert np.array_equal(argmax_mask(one[3]), one[0])
+                    assert (one[2].fired, one[2].convs, one[2].macs) == (
+                        two[2].fired, two[2].convs, two[2].macs)
+
+
 def test_shape_drift_is_an_error():
     net = tiny_net()
-    mask, state, _ = step(net, Always(), SkipPolicy.FUSE_CACHED_DEEP, None,
-                          make_frame(3, 32, 32))
+    mask, state, _, _ = step(net, Always(), SkipPolicy.FUSE_CACHED_DEEP, None,
+                             make_frame(3, 32, 32))
     with pytest.raises(ShapeError, match="expected shape"):
         step(net, Always(), SkipPolicy.FUSE_CACHED_DEEP, state,
              make_frame(3, 64, 64))

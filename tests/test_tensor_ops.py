@@ -187,29 +187,43 @@ def untiled_conv2d(x, p):
     return acc.astype(np.float32).reshape(p.out_channels, oh, ow)
 
 
-# (channels, height, width, kernel, stride, pad, out_channels); each case
-# is checked below to span the band layout its comment names.
-BAND_CASES = [
-    (3, 10, 1200, 3, 1, 1, 4),   # 4 rows per band: 4, 4, 2
-    (4, 23, 1500, 3, 2, 0, 5),   # stride 2: 4, 4, 3
-    (2, 30, 2000, 3, 1, 0, 3),   # 3 rows per band, last band one row
-    (3, 9, 9800, 3, 2, 1, 2),    # one output row is wider than a band
-    (64, 6, 40, 7, 1, 3, 48),    # weights exceed the budget: one band
-]
+# (channels, height, width, kernel, stride, pad, out_channels) -> rows per
+# band. The test restates conv2d's band rule and checks that each case gets
+# the layout listed here.
+BAND_CASES = {
+    (3, 10, 1200, 3, 1, 1, 4): (4, 4, 2),
+    (4, 23, 1500, 3, 2, 0, 5): (4, 4, 3),
+    (2, 30, 2000, 3, 1, 0, 3): (3,) * 9 + (1,),
+    # one output row is wider than a band: one row per band
+    (3, 9, 9800, 3, 2, 1, 2): (1,) * 5,
+    # weights exceed the budget, yet the layer is still banded
+    (64, 6, 40, 7, 1, 3, 48): (1,) * 6,
+    # conv5_2-like 7x7 pad 3: half the weight bytes set the band size
+    (64, 14, 32, 7, 1, 3, 256): (4, 4, 4, 2),
+    # stride 2 pad 1: the first and the last band both reach into padding
+    (4, 15, 1999, 3, 2, 1, 3): (3, 3, 2),
+}
 
 
-@pytest.mark.parametrize("c,h,w,k,stride,pad,oc", BAND_CASES)
+def band_layout(c, k, oh, ow, oc):
+    """Rows per band: a float64 column buffer of at most IM2COL_BAND_BYTES
+    or half the float64 weight bytes, whichever is larger, and at least one
+    row."""
+    budget = max(IM2COL_BAND_BYTES, 8 * oc * c * k * k // 2)
+    rows = min(oh, max(1, budget // (8 * c * k * k * ow)))
+    return tuple(min(rows, oh - r0) for r0 in range(0, oh, rows))
+
+
+@pytest.mark.parametrize("c,h,w,k,stride,pad,oc", list(BAND_CASES))
 def test_conv_bands_match_untiled_gemm_bytes(c, h, w, k, stride, pad, oc):
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    row_bytes = 8 * c * k * k * ow
-    if 8 * oc * c * k * k > IM2COL_BAND_BYTES:
-        assert row_bytes <= IM2COL_BAND_BYTES < oh * row_bytes
-    elif row_bytes > IM2COL_BAND_BYTES:
-        assert oh >= 3
-    else:
-        band_rows = IM2COL_BAND_BYTES // row_bytes
-        assert oh > 2 * band_rows and oh % band_rows != 0
+    bands = band_layout(c, k, oh, ow, oc)
+    assert bands == BAND_CASES[c, h, w, k, stride, pad, oc]
+    if pad:
+        # The first band always reads top padding; the last band reads
+        # bottom padding as well as input rows.
+        assert (oh - 1) * stride + k > h + pad
     rng = np.random.default_rng(c * 1000 + w)
     x = rng.uniform(-1, 1, (c, h, w)).astype(np.float32)
     p = ConvParams(
@@ -289,6 +303,9 @@ def test_relu_examples():
     )
     x = t(np.abs(np.arange(-4, 4, dtype=np.float32)).reshape(1, 2, 4))
     np.testing.assert_array_equal(relu(x), x)
+    y = t([[[-1, 0, 2]]])
+    assert relu(y, out=y) is y
+    np.testing.assert_array_equal(y, t([[[0, 0, 2]]]))
 
 
 # ---------------------------------------------------------------------------
