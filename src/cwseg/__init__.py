@@ -46,7 +46,6 @@ from .metrics import (
     BinaryStats,
     ConfusionMatrix,
     MetricsReport,
-    accumulate,
     average_precision,
     build_report,
 )

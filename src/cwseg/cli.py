@@ -212,6 +212,9 @@ def cmd_eval(args) -> int:
         )
     pred_dir = Path(args.pred_dir)
     scores_dir = Path(args.scores_dir) if args.scores_dir else None
+    # Labels pooled for average_precision take one byte each for up to
+    # 256 classes.
+    label_dtype = np.min_scalar_type(num_classes - 1)
 
     def eval_frame(pair):
         frame_path, truth_path = pair
@@ -244,7 +247,10 @@ def cmd_eval(args) -> int:
                 f"{scores_path}: scores spatial shape {chw.shape[1:]} != "
                 f"truth shape {truth.shape}"
             )
-        return cm, chw[args.positive_class].ravel(), truth.ravel()
+        # Copies, so the pool holds neither the whole score map nor the
+        # int64 labels of any frame.
+        return (cm, chw[args.positive_class].ravel().copy(),
+                truth.ravel().astype(label_dtype))
 
     pairs = list(zip(manifest.frames, manifest.truths))
     workers = _eval_worker_count()

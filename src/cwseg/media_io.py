@@ -128,13 +128,17 @@ def write_pnm(path, pixels: np.ndarray) -> None:
 
 
 def read_image(path) -> Tensor:
-    """Read a PNM file as a float32 (C, H, W) tensor scaled to [0, 1]."""
+    """Read a PNM file as a float32 (C, H, W) tensor scaled to [0, 1].
+
+    The scaled pixels are written straight into one C-contiguous array.
+    """
     px = read_pnm(path)
     if px.ndim == 2:
         chw = px[np.newaxis, :, :]
     else:
         chw = np.transpose(px, (2, 0, 1))
-    return np.ascontiguousarray(chw.astype(np.float32) / np.float32(255.0))
+    out = np.empty(chw.shape, dtype=np.float32)
+    return np.divide(chw, np.float32(255.0), out=out)
 
 
 def write_image(path, image: Tensor) -> None:

@@ -5,6 +5,14 @@ and 11-point interpolated average precision.
 All values are fractions in [0, 1]; rendering as percentages is the
 caller's business. Classes absent from both truth and prediction are
 skipped when averaging, not counted as zeros.
+
+Average precision sorts the positive and the negative pixels' scores apart
+(float32 stays float32) and evaluates precision and recall only at the
+distinct positive scores, counting the pixels at or above each one through
+a stable merge of the two sorted runs. Each precision is the same float64
+division of the same two counts as in a sweep over every threshold, so the
+result is exact. NaN scores rank below every number, one threshold per NaN
+pixel in pixel order.
 """
 from __future__ import annotations
 
@@ -161,12 +169,6 @@ class BinaryStats:
     degenerate: tuple[str, ...] = ()
 
 
-def accumulate(cm: ConfusionMatrix, truth: np.ndarray,
-               pred: np.ndarray) -> ConfusionMatrix:
-    """Add one mask pair to ``cm`` and return it."""
-    return cm.add(truth, pred)
-
-
 def average_precision(scores: np.ndarray, truth: np.ndarray,
                       positive_class: int = 1) -> float:
     """11-point interpolated average precision of the positive class.
@@ -175,8 +177,26 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
     label mask of the same shape. For each recall level r in {0, 0.1, ...,
     1.0}, take the maximum precision over all score thresholds achieving
     recall >= r (thresholding as score >= t), and average the 11 values.
+
+    Every distinct score is a threshold. A NaN score ranks below every
+    number, and each NaN pixel is a threshold of its own, taken in pixel
+    order: the j-th NaN pixel adds itself and the j - 1 NaN pixels before it.
+
+    Float32 scores are sorted as float32, which orders and ties them as
+    float64 would; any other dtype is converted to float64. The positive and
+    the negative scores are sorted apart, and precision and recall are
+    computed only at the distinct positive scores and the positive NaN
+    pixels: a threshold whose tie group holds only negatives has the recall
+    of the group above it and no higher precision, so it is never a recall
+    level's maximum. At a positive score u, tp counts the positives >= u and
+    k all pixels >= u, read off a stable merge of the two sorted runs with
+    positives first on ties; precision is tp / k in float64, as in a sweep
+    over every threshold, so the result is exact.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
+    s = np.asarray(scores)
+    if s.dtype != np.float32:
+        s = np.asarray(scores, dtype=np.float64)
+    s = s.ravel()
     t = np.asarray(truth).ravel()
     if s.shape != t.shape:
         raise ShapeError(
@@ -184,28 +204,45 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
             f"truth shape {np.asarray(truth).shape}"
         )
     positive = (t == positive_class)
-    n_pos = int(positive.sum())
+    n_pos = int(np.count_nonzero(positive))
     if n_pos == 0:
         raise ValueError(
             "average precision is undefined: no positive pixels in truth"
         )
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    pos_sorted = positive[order].astype(np.int64)
-    cum_tp = np.cumsum(pos_sorted)
-    # group ties: a threshold includes every pixel with an equal score
-    is_group_end = np.ones(s.size, dtype=bool)
-    is_group_end[:-1] = s_sorted[:-1] != s_sorted[1:]
-    ends = np.flatnonzero(is_group_end)
-    tp = cum_tp[ends].astype(np.float64)
-    k = (ends + 1).astype(np.float64)
+    nan_pixels = np.flatnonzero(np.isnan(s))
+    nan_positive = positive[nan_pixels]
+    # np.sort places NaNs last; p and n count the numbers each run keeps.
+    nan_pos = int(np.count_nonzero(nan_positive))
+    p = n_pos - nan_pos
+    n = s.size - n_pos - (nan_pixels.size - nan_pos)
+    pos = np.compress(positive, s)
+    pos.sort()
+    pos = pos[:p]
+    neg = np.compress(~positive, s)
+    neg.sort()
+    neg = neg[:n]
+    # Rank of each positive in the merged ascending order; from the first
+    # positive of a tie group on, every pixel is >= its score.
+    rank = np.flatnonzero(
+        np.argsort(np.concatenate((pos, neg)), kind="stable") < p)
+    group_start = np.ones(p, dtype=bool)
+    group_start[1:] = pos[1:] != pos[:-1]
+    first = np.flatnonzero(group_start)[::-1]
+    # Thresholds in order of rising tp: positive tie groups from the
+    # highest score down, then each positive NaN pixel.
+    nan_rank = np.flatnonzero(nan_positive) + 1
+    tp = np.concatenate((p - first, p + np.arange(1, nan_rank.size + 1)),
+                        dtype=np.float64)
+    k = np.concatenate((p + n - rank[first], p + n + nan_rank),
+                       dtype=np.float64)
     precisions = tp / k
     recalls = tp / n_pos
+    # Recall rises along the thresholds and the last one reaches 1.0, so
+    # the thresholds with recall >= r are a nonempty suffix.
     total = 0.0
     for i in range(11):
         level = i / 10.0
-        ok = recalls >= level
-        total += float(precisions[ok].max()) if ok.any() else 0.0
+        total += float(precisions[np.searchsorted(recalls, level):].max())
     return total / 11.0
 
 

@@ -103,7 +103,6 @@ def layer_specs(cfg: NetConfig) -> tuple[LayerSpec, ...]:
     )
 
 
-LAYER_NAMES: tuple[str, ...] = tuple(s.name for s in layer_specs(NetConfig()))
 LAYER_STAGE: dict[str, StageId] = {s.name: s.stage for s in layer_specs(NetConfig())}
 
 
@@ -124,7 +123,7 @@ class StageOutputs:
     score_pool3: Tensor
     pool4_features: Tensor
     score_pool4: Tensor
-    score_fr: Optional[Tensor]
+    score_fr: Tensor
     final_scores: Tensor
 
 
@@ -213,7 +212,7 @@ def _conv_relu(net: StagedNet, name: str, x: Tensor,
     return relu(out, out=out)
 
 
-def _check_input(net: StagedNet, x: Tensor, channels: int, h: int, w: int, what: str) -> Tensor:
+def _check_input(x: Tensor, channels: int, h: int, w: int, what: str) -> Tensor:
     x = as_chw(x)
     expected = (channels, h, w)
     if x.shape != expected:
@@ -227,7 +226,7 @@ def run_stage1(net, frame: Tensor, work: WorkCounter | None = None):
     Returns (pool3_features, score_pool3).
     """
     cfg = net.cfg
-    x = _check_input(net, frame, cfg.in_channels, cfg.height, cfg.width, "frame")
+    x = _check_input(frame, cfg.in_channels, cfg.height, cfg.width, "frame")
     for pair in (("conv1_1", "conv1_2"), ("conv2_1", "conv2_2"), ("conv3_1", "conv3_2")):
         for name in pair:
             x = _conv_relu(net, name, x, work)
@@ -239,7 +238,7 @@ def run_stage2(net, pool3_features: Tensor, work: WorkCounter | None = None):
     """Run the middle stage to stride 16; returns (pool4_features, score_pool4)."""
     cfg = net.cfg
     x = _check_input(
-        net, pool3_features, 4 * cfg.base_width, cfg.height // 8, cfg.width // 8,
+        pool3_features, 4 * cfg.base_width, cfg.height // 8, cfg.width // 8,
         "pool3_features",
     )
     for name in ("conv4_1", "conv4_2"):
@@ -252,7 +251,7 @@ def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> 
     """Run the deep stage to stride 32; returns score_fr."""
     cfg = net.cfg
     x = _check_input(
-        net, pool4_features, 8 * cfg.base_width, cfg.height // 16, cfg.width // 16,
+        pool4_features, 8 * cfg.base_width, cfg.height // 16, cfg.width // 16,
         "pool4_features",
     )
     x = _conv_relu(net, "conv5_1", x, work)

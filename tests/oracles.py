@@ -2,7 +2,9 @@
 
 Everything in this file is deliberately written as plain loops over Python
 scalars: slow, obvious, and sharing no code with the vectorized
-implementations under test.
+implementations under test. The one exception is
+``average_precision_argsort``, a frozen copy of an earlier vectorized
+implementation that its faster replacement must match bit for bit.
 """
 import numpy as np
 
@@ -180,3 +182,34 @@ def splitmix64_oracle(seed, count):
         z = z ^ (z >> 31)
         out.append((z >> 11) * 2.0 ** -53)
     return out
+
+
+def average_precision_argsort(scores, truth, positive_class=1):
+    """11-point AP from one stable argsort of every pixel by descending
+    score, cumulative true positives, and a precision at the end of every
+    tie group. Unlike the exhaustive oracle above it also defines NaN scores
+    (each NaN pixel ranks below every number and is a tie group of its own,
+    in pixel order), so tests can ask for bit-identical results on every
+    input."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    t = np.asarray(truth).ravel()
+    positive = (t == positive_class)
+    n_pos = int(positive.sum())
+    assert n_pos > 0
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    pos_sorted = positive[order].astype(np.int64)
+    cum_tp = np.cumsum(pos_sorted)
+    is_group_end = np.ones(s.size, dtype=bool)
+    is_group_end[:-1] = s_sorted[:-1] != s_sorted[1:]
+    ends = np.flatnonzero(is_group_end)
+    tp = cum_tp[ends].astype(np.float64)
+    k = (ends + 1).astype(np.float64)
+    precisions = tp / k
+    recalls = tp / n_pos
+    total = 0.0
+    for i in range(11):
+        level = i / 10.0
+        ok = recalls >= level
+        total += float(precisions[ok].max()) if ok.any() else 0.0
+    return total / 11.0

@@ -95,6 +95,22 @@ def test_pnm_round_trip_random_payloads(seed, rgb, tmp_path_factory):
     np.testing.assert_array_equal(read_pnm(path), px)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 9), (1, 1, 3), (6, 11, 3),
+                                   (64, 128, 3)])
+def test_read_image_matches_widen_then_divide(shape, tmp_path):
+    rng = np.random.default_rng(sum(shape))
+    px = rng.integers(0, 256, shape).astype(np.uint8)
+    px.flat[:2] = (0, 255)
+    path = tmp_path / "x.pnm"
+    write_pnm(path, px)
+    chw = px[np.newaxis] if px.ndim == 2 else np.transpose(px, (2, 0, 1))
+    want = np.ascontiguousarray(chw.astype(np.float32) / np.float32(255.0))
+    got = read_image(path)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert got.tobytes() == want.tobytes()
+
+
 def test_image_tensor_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     px = rng.integers(0, 256, (9, 7, 3)).astype(np.uint8)

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from cwseg import (
     ConfusionMatrix,
     ShapeError,
-    accumulate,
     average_precision,
     build_report,
 )
-from oracles import average_precision_oracle, segmentation_metrics_oracle
+from oracles import (
+    average_precision_argsort,
+    average_precision_oracle,
+    segmentation_metrics_oracle,
+)
 
 
 def cm_from(counts):
@@ -103,7 +106,7 @@ def test_skips_classes_absent_everywhere():
 
 def test_accumulate_simple_cases():
     cm = ConfusionMatrix(2)
-    accumulate(cm, np.zeros((2, 2), int), np.zeros((2, 2), int))
+    cm.add(np.zeros((2, 2), int), np.zeros((2, 2), int))
     assert cm.counts.tolist() == [[4, 0], [0, 0]]
     cm2 = ConfusionMatrix(2).add(np.zeros(5, int), np.ones(5, int))
     assert cm2.counts.tolist() == [[0, 5], [0, 0]]
@@ -260,6 +263,72 @@ def test_ap_matches_exhaustive_oracle(seed, tie_heavy):
     got = average_precision(scores, truth)
     want = average_precision_oracle(scores, truth)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+# Tie-heavy values, both zeros, both infinities and NaN.
+_AP_SPECIAL = [0.0, -0.0, 0.25, -0.25, 1.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _ap_cases(draw):
+    n = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
+    if dtype is np.int64:
+        values = st.integers(-3, 3)
+    else:
+        width = 32 if dtype is np.float32 else 64
+        values = st.one_of(st.sampled_from(_AP_SPECIAL), st.floats(width=width))
+    scores = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+    positive_class = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        truth = np.full(n, positive_class)
+    else:
+        truth = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        truth[draw(st.integers(0, n - 1))] = positive_class
+    return scores, truth, positive_class
+
+
+@settings(max_examples=300)
+@given(case=_ap_cases())
+def test_ap_equals_stable_argsort_version(case):
+    scores, truth, positive_class = case
+    assert (average_precision(scores, truth, positive_class)
+            == average_precision_argsort(scores, truth, positive_class))
+
+
+@pytest.mark.parametrize("scores", [
+    np.array([v], dtype=dtype)
+    for dtype in (np.float32, np.float64)
+    for v in (0.5, -0.0, np.inf, -np.inf, np.nan)
+] + [np.array([-3]), np.array([0])], ids=repr)
+def test_ap_single_pixel(scores):
+    assert average_precision(scores, np.array([1])) == 1.0
+    assert average_precision_argsort(scores, np.array([1])) == 1.0
+
+
+def test_ap_nan_pixels_rank_last_in_pixel_order():
+    scores = np.array([np.nan, 0.2, np.nan, np.nan, 0.9])
+    truth = np.array([0, 0, 1, 1, 0])
+    got = average_precision(scores, truth)
+    assert got == average_precision_argsort(scores, truth)
+    # Thresholds: 0.9, 0.2, then each NaN pixel in pixel order; the two
+    # positive NaNs give precision 1/4 at recall 1/2 and 2/5 at recall 1,
+    # so 2/5 is the maximum at every recall level.
+    assert got == sum([0.4] * 11) / 11.0
+
+
+def test_ap_full_size_eval_case():
+    """One pooled 24 x 256 x 512 case shaped like the eval benchmark:
+    float32 scores with ties, one-byte labels."""
+    rng = np.random.default_rng(24256512)
+    n = 24 * 256 * 512
+    truth = (rng.random(n) < 0.45).astype(np.uint8)
+    scores = (rng.standard_normal(n, dtype=np.float32)
+              + np.float32(0.8) * truth)
+    scores[rng.integers(0, n, 4096)] = np.float32(0.0)
+    want = average_precision_argsort(scores, truth)
+    assert average_precision(scores, truth) == want
+    assert 0.5 < want < 1.0
 
 
 def test_ap_shape_mismatch():
