@@ -33,14 +33,11 @@ from .scheduler import (
     Always,
     ClockSchedule,
     Fixed,
-    PersistedState,
     SkipPolicy,
-    Stage1Result,
     StageTrace,
     run_sequence,
     should_fire,
     step,
-    time_stage1,
 )
 from .metrics import (
     BinaryStats,

@@ -6,11 +6,13 @@ Exit codes: 0 success, 2 usage errors, 3 file/format errors, 4 contract or
 shape errors. Reports are plain JSON on stdout; the segment command also
 writes one palette mask per frame plus a line-delimited JSON trace file.
 
-The segment command always uses one helper thread: it decodes frame k+1 and
-runs its stage 1 while the main thread runs the rest of frame k and writes
-its outputs, never more than one frame ahead. Masks and score maps are the
-same bytes as in a serial run, and a frame that fails stops the run at its
-own turn.
+The segment and bench commands run one frame loop, ``_run_frames``. It
+always uses one helper thread: it decodes frame k+1 and runs its stage 1
+while the main thread runs the rest of frame k and hands it on (segment
+writes it, bench keeps its trace), never more than one frame ahead. Masks
+and score maps are the same bytes as in the serial ``run_sequence``, and a
+frame that fails stops the run at its own turn. bench therefore times the
+loop that segment ships, decodes included and writes excluded.
 
 The eval command shards frames across a thread pool (confusion matrices
 merge exactly, so the result is order-independent); CWSEG_THREADS caps the
@@ -32,7 +34,6 @@ import numpy as np
 from .errors import ContractError, FileFormatError, ShapeError
 from .media_io import (
     DEFAULT_PALETTE,
-    SequenceManifest,
     decode_gt_mask,
     gen_weights,
     parse_palette,
@@ -50,11 +51,10 @@ from .scheduler import (
     ClockSchedule,
     Fixed,
     SkipPolicy,
-    Stage1Result,
     StageTrace,
-    run_sequence,
+    _Stage1Result,
+    _time_stage1,
     step,
-    time_stage1,
 )
 
 _STAGE_LABELS = tuple(s.label for s in StageId)
@@ -93,8 +93,17 @@ def _load_net(weights_path, first_frame_shape) -> StagedNet:
     return build_net(cfg, store)
 
 
-def _check_unique_stems(manifest: SequenceManifest) -> None:
-    stems = [p.stem for p in manifest.frames]
+def _open_sequence(args) -> tuple[tuple[Path, ...], list, StagedNet]:
+    """The set-up of segment and bench: the manifest, then frame 0, then the
+    net. Frame 0 comes back as a one-element list for ``_run_frames`` to
+    take, so the caller holds no frame."""
+    frames = read_manifest(args.manifest).frames
+    first = [read_image(frames[0])]
+    return frames, first, _load_net(args.weights, first[0].shape)
+
+
+def _check_unique_stems(frames) -> None:
+    stems = [p.stem for p in frames]
     if len(set(stems)) != len(stems):
         dup = next(s for s in stems if stems.count(s) > 1)
         raise FileFormatError(
@@ -123,56 +132,67 @@ def _firing_counts(traces) -> dict[str, int]:
     return counts
 
 
-def _read_stage1(net: StagedNet, frame_path) -> Stage1Result:
-    """Decode a frame and run its stage 1; the segment loop's helper-thread
+def _read_stage1(net: StagedNet, frame_path) -> _Stage1Result:
+    """Decode a frame and run its stage 1; the frame loop's helper-thread
     job."""
-    return time_stage1(net, read_image(frame_path))
+    return _time_stage1(net, read_image(frame_path))
+
+
+def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
+                frame_paths, first: list, emit) -> None:
+    """Run every frame through ``step`` and call ``emit(index, mask, trace,
+    scores)`` once per frame, in order.
+
+    ``first`` is a one-element list holding frame 0, decoded; the loop pops
+    it. One helper thread decodes frame k+1 and runs its stage 1 while this
+    thread runs the rest of frame k and its ``emit``; it is never more than
+    one frame ahead, and it is joined before this returns or raises.
+    """
+    state = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for index in range(len(frame_paths)):
+            frame = first.pop() if index == 0 else ahead.result()
+            # Frame 1 goes to the helper only after frame 0's step, so
+            # starting the thread never delays frame 0.
+            if 0 < index < len(frame_paths) - 1:
+                ahead = helper.submit(_read_stage1, net, frame_paths[index + 1])
+            mask, state, trace, scores = step(net, schedule, policy, state,
+                                              frame)
+            if index == 0 and len(frame_paths) > 1:
+                ahead = helper.submit(_read_stage1, net, frame_paths[1])
+            emit(index, mask, trace, scores)
+            # Hold no frame-sized array into the next frame's step.
+            del frame, mask, scores
 
 
 def cmd_segment(args) -> int:
     palette = parse_palette(args.palette)
-    manifest = read_manifest(args.manifest, palette)
-    _check_unique_stems(manifest)
     schedule = _schedule_from_args(args)
     policy = SkipPolicy(args.skip_policy)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    frames = manifest.frames
-    first = read_image(frames[0])
-    net = _load_net(args.weights, first.shape)
+    frames, first, net = _open_sequence(args)
+    _check_unique_stems(frames)
     if net.cfg.num_classes > len(palette):
         raise ContractError(
             f"network predicts {net.cfg.num_classes} classes but the "
             f"palette has only {len(palette)} colors"
         )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     traces = []
-    state = None
     trace_path = out_dir / "trace.jsonl"
-    # One helper thread decodes frame k+1 and runs its stage 1 while this
-    # thread runs the rest of frame k; it is never more than a frame ahead.
-    with open(trace_path, "w", encoding="utf-8") as trace_file, \
-            ThreadPoolExecutor(max_workers=1) as helper:
-        for index, frame_path in enumerate(frames):
-            frame = first if index == 0 else ahead.result()
-            first = None
-            # Frame 1 goes to the helper only after frame 0's step, so
-            # starting the thread never delays frame 0.
-            if 0 < index < len(frames) - 1:
-                ahead = helper.submit(_read_stage1, net, frames[index + 1])
-            mask, state, trace, scores = step(net, schedule, policy, state,
-                                              frame)
-            if index == 0 and len(frames) > 1:
-                ahead = helper.submit(_read_stage1, net, frames[1])
-            write_mask(mask, palette, out_dir / f"{frame_path.stem}.ppm")
+    with open(trace_path, "w", encoding="utf-8") as trace_file:
+        def emit(index, mask, trace, scores):
+            stem = frames[index].stem
+            write_mask(mask, palette, out_dir / f"{stem}.ppm")
             if args.save_scores:
                 write_weights({"scores": scores},
-                              out_dir / f"{frame_path.stem}.scores.cwf")
-            # Hold no frame-sized array into the next frame's step.
-            del frame, mask, scores
+                              out_dir / f"{stem}.scores.cwf")
             traces.append(trace)
-            trace_file.write(json.dumps(_trace_record(trace, frame_path)) + "\n")
+            trace_file.write(
+                json.dumps(_trace_record(trace, frames[index])) + "\n")
+
+        _run_frames(net, schedule, policy, frames, first, emit)
 
     summary = {
         "frames": len(frames),
@@ -199,7 +219,7 @@ def _eval_worker_count() -> int:
 
 def cmd_eval(args) -> int:
     palette = parse_palette(args.palette)
-    manifest = read_manifest(args.manifest, palette)
+    manifest = read_manifest(args.manifest)
     if manifest.truths is None:
         raise FileFormatError(
             f"{args.manifest}: manifest has no ground-truth column"
@@ -253,12 +273,8 @@ def cmd_eval(args) -> int:
                 truth.ravel().astype(label_dtype))
 
     pairs = list(zip(manifest.frames, manifest.truths))
-    workers = _eval_worker_count()
-    if workers == 1:
-        results = [eval_frame(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_frame, pairs))
+    with ThreadPoolExecutor(max_workers=_eval_worker_count()) as pool:
+        results = list(pool.map(eval_frame, pairs))
 
     total_cm = ConfusionMatrix(num_classes)
     for cm, _, _ in results:
@@ -292,20 +308,21 @@ def _sum_macs(traces) -> int:
 
 
 def cmd_bench(args) -> int:
-    palette = parse_palette(args.palette)
-    manifest = read_manifest(args.manifest, palette)
     schedule = _schedule_from_args(args)
     policy = SkipPolicy(args.skip_policy)
-
-    frames = [read_image(p) for p in manifest.frames]
-    net = _load_net(args.weights, frames[0].shape)
+    frames, first, net = _open_sequence(args)
 
     def run_arm(arm_schedule):
+        # Each pass is timed from frame 0's step, as segment's frame rate
+        # is: frame 0 is decoded before the clock starts.
         wall = 0.0
-        traces = None
         for _ in range(args.repeat):
+            traces = []
+            if not first:
+                first.append(read_image(frames[0]))
             t0 = time.perf_counter()
-            _, traces = run_sequence(net, arm_schedule, policy, frames)
+            _run_frames(net, arm_schedule, policy, frames, first,
+                        lambda index, mask, trace, scores: traces.append(trace))
             wall += time.perf_counter() - t0
         return wall, traces
 
@@ -414,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--repeat", type=_positive_int, default=1,
                     help="passes over the sequence per arm")
     _add_schedule_flags(be)
-    _add_palette_flag(be)
     be.set_defaults(func=cmd_bench)
 
     gw = subs.add_parser("gen-weights", help="write deterministic test weights")

@@ -347,11 +347,10 @@ def gen_weights(cfg: NetConfig, seed: int) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class SequenceManifest:
-    """Ordered frame paths, optional parallel ground-truth paths, palette."""
+    """Ordered frame paths and optional parallel ground-truth paths."""
 
     frames: tuple[Path, ...]
     truths: Optional[tuple[Path, ...]]
-    palette: tuple[Color, ...] = DEFAULT_PALETTE
 
     def __post_init__(self):
         if self.truths is not None and len(self.truths) != len(self.frames):
@@ -361,7 +360,7 @@ class SequenceManifest:
             )
 
 
-def read_manifest(path, palette: Sequence[Color] = DEFAULT_PALETTE) -> SequenceManifest:
+def read_manifest(path) -> SequenceManifest:
     """Read a plain-text manifest: one frame path per line, optional second
     whitespace-separated column for the ground-truth path.
 
@@ -395,5 +394,4 @@ def read_manifest(path, palette: Sequence[Color] = DEFAULT_PALETTE) -> SequenceM
     return SequenceManifest(
         frames=tuple(frames),
         truths=tuple(truths) if truths else None,
-        palette=tuple(palette),
     )

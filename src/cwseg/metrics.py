@@ -77,9 +77,6 @@ class ConfusionMatrix:
             )
         return ConfusionMatrix(self.num_classes, self.counts + other.counts)
 
-    def copy(self) -> "ConfusionMatrix":
-        return ConfusionMatrix(self.num_classes, self.counts)
-
     def total(self) -> int:
         return int(self.counts.sum())
 

@@ -22,10 +22,10 @@ cached final scores are only refreshed when stage 3 actually fires, so the
 change signal always measures drift since the last deep computation.
 
 Stage 1 holds no state across frames, so it can run ahead of the frame
-loop: :func:`time_stage1` runs it on its own, and :func:`step` accepts the
-resulting :class:`Stage1Result` in place of the frame. The ``segment``
-command runs it for frame k+1 on a helper thread while ``step`` finishes
-frame k. :func:`run_sequence` stays serial; it is the reference.
+loop: :func:`step` accepts stage 1 already run (``_time_stage1``) in place
+of the frame. The CLI's frame loop, which ``segment`` and ``bench`` share,
+runs it for frame k+1 on a helper thread while ``step`` finishes frame k.
+:func:`run_sequence` stays serial; it is the reference.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ class PersistedState:
 
 
 @dataclass(frozen=True)
-class Stage1Result:
+class _Stage1Result:
     """Stage 1 of one frame, run ahead of :func:`step`: its two outputs, its
     wall seconds and the :class:`WorkCounter` holding its convolutions.
     ``step`` goes on recording the frame's later stages into ``work``."""
@@ -120,7 +120,7 @@ class Stage1Result:
     work: WorkCounter
 
 
-def time_stage1(net: StagedNet, frame: Tensor) -> Stage1Result:
+def _time_stage1(net: StagedNet, frame: Tensor) -> _Stage1Result:
     """Run and time stage 1 of ``frame`` into a fresh WorkCounter.
 
     Stage 1 holds no state across frames, so this may run on another thread
@@ -129,7 +129,7 @@ def time_stage1(net: StagedNet, frame: Tensor) -> Stage1Result:
     work = WorkCounter()
     t0 = time.perf_counter()
     pool3, score_pool3 = run_stage1(net, frame, work)
-    return Stage1Result(pool3, score_pool3, time.perf_counter() - t0, work)
+    return _Stage1Result(pool3, score_pool3, time.perf_counter() - t0, work)
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,11 @@ def should_fire(schedule: ClockSchedule, frame_index: int,
 
 
 def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
-         state: Optional[PersistedState], frame: Union[Tensor, Stage1Result],
+         state: Optional[PersistedState], frame: Union[Tensor, _Stage1Result],
          ) -> tuple[np.ndarray, PersistedState, StageTrace, Tensor]:
     """Process one frame: run the fired stages, produce a mask, advance state.
 
-    ``frame`` is the frame itself, or the :func:`time_stage1` result of it
+    ``frame`` is the frame itself, or the ``_time_stage1`` result of it
     when stage 1 already ran. Returns the mask, the new state, the trace and
     the final score map the mask is the argmax of.
 
@@ -197,29 +197,24 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
     if index > 0 and state is None:
         raise ContractError("state is required after frame 0")
 
-    if not isinstance(frame, Stage1Result):
-        frame = time_stage1(net, frame)
+    if not isinstance(frame, _Stage1Result):
+        frame = _time_stage1(net, frame)
     pool3, score_pool3, work = frame.pool3, frame.score_pool3, frame.work
     elapsed: dict[str, float] = {"stage1": frame.seconds}
 
-    change: Optional[float] = None
-    adaptive = isinstance(schedule, Adaptive)
-    if adaptive and index > 0:
-        # stage 2 always runs in adaptive mode; its output is the signal
+    # Firing only grows with the change, so at infinite change should_fire
+    # names every stage that can fire on this frame. Stage 2 runs before the
+    # decision: its score_pool4 is the adaptive change signal.
+    if StageId.STAGE2 in should_fire(schedule, index, math.inf):
         t0 = time.perf_counter()
         pool4, score_pool4 = run_stage2(net, pool3, work)
         elapsed["stage2"] = time.perf_counter() - t0
-        change = mean_abs_diff(score_pool4, state.prev_score)
-        fired = should_fire(schedule, index, change)
     else:
-        fired = should_fire(schedule, index)
-        if StageId.STAGE2 in fired:
-            t0 = time.perf_counter()
-            pool4, score_pool4 = run_stage2(net, pool3, work)
-            elapsed["stage2"] = time.perf_counter() - t0
-        else:
-            pool4 = None
-            score_pool4 = state.cached_score_pool4
+        pool4, score_pool4 = None, state.cached_score_pool4
+    change: Optional[float] = None
+    if isinstance(schedule, Adaptive) and index > 0:
+        change = mean_abs_diff(score_pool4, state.prev_score)
+    fired = should_fire(schedule, index, change)
 
     if StageId.STAGE3 in fired:
         t0 = time.perf_counter()

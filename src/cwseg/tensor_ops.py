@@ -5,7 +5,9 @@ width) with dtype float32, referred to as "tensors" throughout the package.
 Every kernel here is a pure function, except that ``relu`` writes into an
 ``out`` array when given one: inputs are otherwise never mutated and
 identical inputs produce bit-identical outputs, so tensors can be shared
-freely across threads.
+freely across threads. Tensors are checked where they enter the package
+(frames, weight stores, ``conv2d`` and ``maxpool2d``); the elementwise
+kernels check only that their shapes agree.
 
 ``conv2d`` lowers each convolution to a float64 im2col matrix times the
 float64 weights. It builds that matrix one band of output rows at a time, so
@@ -196,7 +198,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 def relu(x: Tensor, out: Tensor | None = None) -> Tensor:
     """Elementwise max(0, x), written to ``out`` when given; ``out`` may be
     ``x`` itself, which applies relu in place."""
-    return np.maximum(as_chw(x), np.float32(0.0), out=out)
+    return np.maximum(x, np.float32(0.0), out=out)
 
 
 def _axis_coords(n_in: int, factor: int):
@@ -218,7 +220,6 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"upsample factor must be a positive integer, got {factor!r}")
-    x = as_chw(x)
     if factor == 1:
         return x.copy()
     _, h, w = x.shape
@@ -234,7 +235,6 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
 
 def crop_center(x: Tensor, target_h: int, target_w: int) -> Tensor:
     """Spatially centered crop; channels are preserved."""
-    x = as_chw(x)
     _, h, w = x.shape
     if target_h < 1 or target_w < 1:
         raise ShapeError("crop_center: target dims must be positive")
@@ -249,8 +249,6 @@ def crop_center(x: Tensor, target_h: int, target_w: int) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors with identical shapes."""
-    a = as_chw(a)
-    b = as_chw(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = a + b
@@ -265,8 +263,6 @@ def mean_abs_diff(a: Tensor, b: Tensor) -> float:
     Nonnegative, symmetric, exactly zero on identical inputs; this is the
     change signal the adaptive schedule thresholds against.
     """
-    a = as_chw(a)
-    b = as_chw(b)
     if a.shape != b.shape:
         raise ShapeError(f"mean_abs_diff: shape mismatch {a.shape} vs {b.shape}")
     return float(np.mean(np.abs(a.astype(np.float64) - b.astype(np.float64))))

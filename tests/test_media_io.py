@@ -306,7 +306,6 @@ def test_manifest_with_ground_truth(tmp_path):
     assert [p.name for p in m.frames] == ["f0.ppm", "f1.ppm"]
     assert [p.name for p in m.truths] == ["gt0.ppm", "gt1.ppm"]
     assert m.frames[0].parent == tmp_path
-    assert m.palette == DEFAULT_PALETTE
 
 
 def test_manifest_frames_only(tmp_path):

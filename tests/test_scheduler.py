@@ -19,8 +19,8 @@ from cwseg import (
     run_sequence,
     should_fire,
     step,
-    time_stage1,
 )
+from cwseg.scheduler import _time_stage1
 from testutil import fixed_sequence, make_frame, random_frames, tiny_net
 
 S1, S2, S3 = StageId.STAGE1, StageId.STAGE2, StageId.STAGE3
@@ -219,7 +219,7 @@ def test_step_takes_stage1_run_on_another_thread():
             with ThreadPoolExecutor(max_workers=1) as pool:
                 for f in frames:
                     one = step(net, schedule, policy, serial, f)
-                    done = pool.submit(time_stage1, net, f).result()
+                    done = pool.submit(_time_stage1, net, f).result()
                     two = step(net, schedule, policy, ahead, done)
                     serial, ahead = one[1], two[1]
                     assert one[0].tobytes() == two[0].tobytes()

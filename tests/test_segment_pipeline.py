@@ -1,6 +1,7 @@
-"""The segment command runs stage 1 of frame k+1 on a helper thread while the
-main thread finishes frame k. These tests hold it to the serial
-``run_sequence`` reference and check its failure and thread behaviour."""
+"""The segment and bench commands share one frame loop, which runs stage 1 of
+frame k+1 on a helper thread while the main thread finishes frame k. These
+tests hold it to the serial ``run_sequence`` reference and check its failure
+and thread behaviour."""
 import json
 import threading
 import time
@@ -16,6 +17,7 @@ from cwseg import (
     Fixed,
     NetConfig,
     SkipPolicy,
+    StageId,
     build_net,
     full_forward,
     gen_weights,
@@ -66,11 +68,27 @@ def segment(argv):
     return cli.main(["segment", *map(str, argv)])
 
 
+def loop_argv(command, manifest, weights, tmp_path):
+    """Arguments that run ``command`` over ``manifest`` with default flags."""
+    argv = [command, manifest, "--weights", weights]
+    if command == "segment":
+        argv += ["--out", tmp_path / "out"]
+    return [str(a) for a in argv]
+
+
 SCHEDULES = [
     (["--schedule", "always"], Always()),
     (["--schedule", "fixed", "--period2", "2", "--period3", "3"], Fixed(2, 3)),
     (["--schedule", "adaptive"], None),  # theta placed at the cut below
 ]
+
+
+def adaptive_at_cut(net, frames):
+    """Adaptive theta halfway between the largest drift change of
+    ``drift_then_cut`` and the change at its cut."""
+    sp4 = [full_forward(net, f).score_pool4 for f in frames]
+    drift = max(mean_abs_diff(s, sp4[0]) for s in sp4[1:4])
+    return Adaptive((drift + mean_abs_diff(sp4[4], sp4[0])) / 2)
 
 
 @pytest.mark.parametrize("policy", list(SkipPolicy), ids=lambda p: p.value)
@@ -82,12 +100,8 @@ def test_segment_matches_serial_run_sequence(tmp_path, capsys, weights,
     frames = [read_image(p) for p in paths]
     net = build_net(CFG, read_weights(weights))
     if schedule is None:
-        # Halfway between the largest drift change and the cut's change.
-        sp4 = [full_forward(net, f).score_pool4 for f in frames]
-        drift = max(mean_abs_diff(s, sp4[0]) for s in sp4[1:4])
-        theta = (drift + mean_abs_diff(sp4[4], sp4[0])) / 2
-        flags = flags + ["--theta", repr(theta)]
-        schedule = Adaptive(theta)
+        schedule = adaptive_at_cut(net, frames)
+        flags = flags + ["--theta", repr(schedule.theta)]
     masks, traces = run_sequence(net, schedule, policy, frames)
     if isinstance(schedule, Adaptive):
         assert [t.frame_index for t in traces if 3 in t.fired] == [0, 4]
@@ -152,18 +166,22 @@ def test_segment_reads_at_most_one_frame_ahead(tmp_path, capsys, weights,
         ("write", p.name) for p in paths]
 
 
-@pytest.mark.parametrize("bad", [2, 5])
+# The segment cases keep their original ids.
+@pytest.mark.parametrize(
+    "command,bad", [("segment", 2), ("segment", 5), ("bench", 2), ("bench", 5)],
+    ids=["2", "5", "bench-2", "bench-5"])
 def test_corrupt_frame_exits_3_with_earlier_masks_only(tmp_path, capsys,
-                                                       weights, bad):
+                                                       weights, command, bad):
     manifest, paths = write_sequence(tmp_path, random_frames(402, 6))
     paths[bad].write_bytes(b"P6\n32 32\n255\n" + b"\x00" * 10)
     threads = threading.active_count()
-    assert segment([manifest, "--weights", weights, "--out",
-                    tmp_path / "out"]) == 3
-    assert "error:" in capsys.readouterr().err
+    assert cli.main(loop_argv(command, manifest, weights, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert threading.active_count() == threads
-    written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
-    assert written == [p.name for p in paths[:bad]]
+    if command == "segment":
+        written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
+        assert written == [p.name for p in paths[:bad]]
 
 
 @pytest.mark.parametrize("bad", [1, 3])
@@ -180,10 +198,59 @@ def test_frame_of_another_size_exits_4(tmp_path, capsys, weights, bad):
     assert written == [p.name for p in paths[:bad]]
 
 
-def test_segment_leaves_no_thread_behind(tmp_path, capsys, weights):
+@pytest.mark.parametrize("command", ["segment", "bench"])
+def test_leaves_no_thread_behind(tmp_path, capsys, weights, command):
     manifest, _ = write_sequence(tmp_path, random_frames(404, 4))
     threads = threading.active_count()
-    assert segment([manifest, "--weights", weights, "--out",
-                    tmp_path / "out"]) == 0
+    assert cli.main(loop_argv(command, manifest, weights, tmp_path)) == 0
     capsys.readouterr()
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("flags,schedule", SCHEDULES,
+                         ids=["always", "fixed", "adaptive"])
+def test_bench_counts_match_run_sequence(tmp_path, capsys, weights,
+                                         monkeypatch, flags, schedule):
+    manifest, paths = write_sequence(tmp_path, drift_then_cut())
+    frames = [read_image(p) for p in paths]
+    net = build_net(CFG, read_weights(weights))
+    if schedule is None:
+        schedule = adaptive_at_cut(net, frames)
+        flags = flags + ["--theta", repr(schedule.theta)]
+    events = []
+    read_image_, step_ = cli.read_image, cli.step
+
+    def read_logged(path):
+        events.append(("read", path.name))  # logged as the read starts
+        return read_image_(path)
+
+    def step_logged(*args):
+        out = step_(*args)
+        events.append(("step", args[3].frames_seen if args[3] else 0))
+        return out
+
+    monkeypatch.setattr(cli, "read_image", read_logged)
+    monkeypatch.setattr(cli, "step", step_logged)
+    assert cli.main(loop_argv("bench", manifest, weights, tmp_path)
+                    + flags) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    for arm, arm_schedule in (("full", Always()), ("clockwork", schedule)):
+        _, traces = run_sequence(net, arm_schedule,
+                                 SkipPolicy.FUSE_CACHED_DEEP, frames)
+        assert report[arm]["firings"] == {
+            s.label: sum(s in t.fired for t in traces) for s in StageId}
+        assert report[arm]["macs"] == sum(sum(t.macs.values())
+                                          for t in traces)
+
+    # One pass per arm, each starting with a read of frame 0. Frame j >= 1
+    # is read only after the step of frame j - 2 (frame 0's for j = 1).
+    starts = [i for i, e in enumerate(events) if e == ("read", paths[0].name)]
+    assert len(starts) == 2
+    for lo, hi in zip(starts, starts[1:] + [len(events)]):
+        one_pass = events[lo:hi]
+        assert [e for e in one_pass if e[0] == "step"] == [
+            ("step", k) for k in range(len(paths))]
+        for j in range(1, len(paths)):
+            assert one_pass.index(("read", paths[j].name)) > one_pass.index(
+                ("step", max(0, j - 2)))
