@@ -9,10 +9,14 @@ writes one palette mask per frame plus a line-delimited JSON trace file.
 The segment and bench commands run one frame loop, ``_run_frames``. It
 always uses one helper thread: it decodes frame k+1 and runs its stage 1
 while the main thread runs the rest of frame k and hands it on (segment
-writes it, bench keeps its trace), never more than one frame ahead. Masks
-and score maps are the same bytes as in the serial ``run_sequence``, and a
-frame that fails stops the run at its own turn. bench therefore times the
-loop that segment ships, decodes included and writes excluded.
+writes it, bench keeps its trace), never more than one frame ahead. When
+the main thread is done with frame k before the helper is done with frame
+k+1, it runs the helper's remaining stage-1 conv bands
+(``tensor_ops.help_until``) instead of idling; the bands are the same on
+either thread, so the bits are too. Masks and score maps are the same
+bytes as in the serial ``run_sequence``, and a frame that fails stops the
+run at its own turn. bench therefore times the loop that segment ships,
+decodes included and writes excluded.
 
 The eval command shards frames across a thread pool (confusion matrices
 merge exactly, so the result is order-independent); CWSEG_THREADS caps the
@@ -56,6 +60,7 @@ from .scheduler import (
     _time_stage1,
     step,
 )
+from .tensor_ops import help_until
 
 _STAGE_LABELS = tuple(s.label for s in StageId)
 
@@ -145,13 +150,19 @@ def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
 
     ``first`` is a one-element list holding frame 0, decoded; the loop pops
     it. One helper thread decodes frame k+1 and runs its stage 1 while this
-    thread runs the rest of frame k and its ``emit``; it is never more than
-    one frame ahead, and it is joined before this returns or raises.
+    thread runs the rest of frame k and its ``emit``, then helps with the
+    stage-1 conv bands still open; it is never more than one frame ahead,
+    and it is joined before this returns or raises.
     """
     state = None
     with ThreadPoolExecutor(max_workers=1) as helper:
         for index in range(len(frame_paths)):
-            frame = first.pop() if index == 0 else ahead.result()
+            if index == 0:
+                frame = first.pop()
+            else:
+                # Run the helper's stage-1 bands instead of idling.
+                help_until(ahead)
+                frame = ahead.result()
             # Frame 1 goes to the helper only after frame 0's step, so
             # starting the thread never delays frame 0.
             if 0 < index < len(frame_paths) - 1:

@@ -293,6 +293,21 @@ def full_forward(net, frame: Tensor, work: WorkCounter | None = None) -> StageOu
 
 
 def argmax_mask(final_scores: Tensor) -> np.ndarray:
-    """Per-pixel index of the max-scoring class; ties go to the lowest index."""
+    """Per-pixel index of the max-scoring class, equal to
+    ``np.argmax(final_scores, axis=0)`` on every input: ties go to the
+    lowest index and the first NaN wins.
+
+    One compare-and-keep pass per class, with no masked writes, is several
+    times faster than ``np.argmax`` over the class axis.
+    """
     scores = as_chw(final_scores)
-    return np.argmax(scores, axis=0)
+    best = scores[0]
+    index = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, len(scores)):
+        v = scores[c]
+        # v wins where it beats the best so far or is NaN, unless a NaN
+        # came first. c exceeds every earlier index, so max records it.
+        wins = ~(v <= best) & (best == best)
+        np.maximum(index, wins * c, out=index)
+        best = np.maximum(best, v)  # NaN propagates
+    return index

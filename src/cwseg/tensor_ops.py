@@ -18,9 +18,23 @@ reads, in a small zeroed buffer. Banding splits only the output pixels;
 each output value is still one dot product over the full kernel volume, so
 results are bit-identical to the unbanded product. ``maxpool2d`` folds the
 window's strided slices together with elementwise maximum, which is exact.
+
+Bands are the unit of sharing between threads. Each ``conv2d`` call posts
+its bands on a module-level board and works through them itself; a thread
+that would otherwise wait on another thread's result calls ``help_until``
+and runs bands of whatever call is open. Bands are claimed one at a time,
+so whoever is free takes the next. Every thread runs its bands in buffers
+of its own, allocated per call, and the band layout depends only on the
+layer and the input shape, so each band's GEMM has the same shape and
+operands on any thread and the output bits cannot depend on who helped.
+A call with nobody helping runs exactly as a serial loop over its bands.
 """
 from __future__ import annotations
 
+import itertools
+import threading
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +121,15 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     into the float32 output. Only the output-pixel dimension is split, so
     every output value is the same full-length dot product as in a single
     unbanded GEMM, and the result is bit-identical to it.
+
+    The call posts its bands on a board (unless it has only one) and runs
+    them itself, one claim at a time; a thread blocked in
+    :func:`help_until` may claim some of them.
+    Each thread runs its bands in buffers of its own, and the band layout is
+    fixed by the layer and the input shape alone, so a band's GEMM has the
+    same shape and operands whichever thread runs it: the bits cannot
+    depend on who helped. The call returns once every band has finished,
+    and raises the first exception any band raised.
     """
     x = as_chw(x)
     c, h, w = x.shape
@@ -121,49 +144,156 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv2d: kernel {p.kernel_h}x{p.kernel_w} (stride {p.stride}, "
             f"pad {p.pad}) does not fit input {h}x{w}"
         )
-    k = c * p.kernel_h * p.kernel_w
-    # Each band's GEMM re-packs the whole weight matrix; bands of at least
-    # half its size keep that re-packing small next to the band's own work.
-    band_bytes = max(IM2COL_BAND_BYTES, 4 * p.out_channels * k)
-    band_rows = min(oh, max(1, band_bytes // (8 * k * ow)))
-    # Padded input rows of one band; the pad columns are never written.
-    band_in = np.zeros((c, (band_rows - 1) * p.stride + p.kernel_h,
-                        w + 2 * p.pad), dtype=np.float64)
-    cols_buf = np.empty(k * band_rows * ow, dtype=np.float64)
-    # One GEMM result buffer serves every band; a fresh one per band leaves
-    # the heap more fragmented and raised peak memory.
-    acc_buf = np.empty(p.out_channels * band_rows * ow, dtype=np.float64)
-    w64 = p.weights.reshape(p.out_channels, k).astype(np.float64)
-    b64 = p.bias.astype(np.float64)[:, None]
-    out = np.empty((p.out_channels, oh, ow), dtype=np.float32)
-    for r0 in range(0, oh, band_rows):
-        rows = min(band_rows, oh - r0)
-        n = rows * ow
-        # Padded rows [lo, lo + span) feed this band: `top` rows of padding,
-        # input rows [y0, y1), then padding to the end of the span.
-        lo = r0 * p.stride
-        span = (rows - 1) * p.stride + p.kernel_h
-        top = max(0, p.pad - lo)
-        y0, y1 = max(0, lo - p.pad), min(h, lo + span - p.pad)
-        band = band_in[:, :span]
-        band[:, :top] = 0.0
-        band[:, top : top + y1 - y0, p.pad : p.pad + w] = x[:, y0:y1]
-        band[:, top + y1 - y0 :] = 0.0
-        sc, sh, sw = band.strides
-        patches = as_strided(
-            band,
-            shape=(c, p.kernel_h, p.kernel_w, rows, ow),
-            strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
-        )
-        cols = cols_buf[: k * n].reshape(k, n)
-        np.copyto(cols.reshape(patches.shape), patches)
-        acc = np.matmul(w64, cols, out=acc_buf[: p.out_channels * n]
-                        .reshape(p.out_channels, n))
-        acc += b64
-        out[:, r0 : r0 + rows] = acc.reshape(p.out_channels, rows, ow)
+    call = _ConvCall(x, p, oh, ow)
+    # A call of one band is not posted: no other thread could share it,
+    # and waking one costs more than the band.
+    if len(call.starts) > 1:
+        with _board:
+            _open_calls.append(call)
+            _board.notify_all()
+    call.run_bands(owner=True)
+    if call.error is not None:
+        raise call.error
+    out = call.out
     if not np.isfinite(out).all():
         raise ValueError("conv2d produced non-finite values")
     return out
+
+
+def help_until(future: Future) -> None:
+    """Run bands of open ``conv2d`` calls until ``future`` is done.
+
+    For a thread that would otherwise block on ``future`` while the thread
+    computing it runs convolutions. Wakes when a call is posted or the
+    future completes. A band's exception goes to the ``conv2d`` call that
+    owns the band, never to this thread.
+    """
+    def wake(_):
+        with _board:
+            _board.notify_all()
+
+    future.add_done_callback(wake)
+    while True:
+        with _board:
+            _board.wait_for(lambda: future.done() or _open_calls)
+            if future.done():
+                return
+            call = _open_calls[0]
+        call.run_bands()
+        # Keep no finished call's input and output alive while waiting.
+        del call
+
+
+# conv2d calls with bands not yet claimed, oldest first. ``_board`` guards
+# it and each call's finished-band count; it is notified when a call is
+# posted, when a helping thread finishes a call's last band and when a
+# future that ``help_until`` waits on completes.
+_open_calls: deque = deque()
+_board = threading.Condition()
+
+
+class _ConvCall:
+    """One ``conv2d`` call cut into bands of whole output rows.
+
+    Any thread may run bands; each claims them one at a time from a shared
+    counter (``next`` on an ``itertools.count`` is atomic under the GIL), so
+    whoever is free takes the next band.
+    """
+
+    def __init__(self, x: Tensor, p: ConvParams, oh: int, ow: int):
+        self.x, self.p, self.oh, self.ow = x, p, oh, ow
+        self.k = x.shape[0] * p.kernel_h * p.kernel_w
+        # Each band's GEMM re-packs the whole weight matrix; bands of at
+        # least half its size keep that re-packing small next to the band's
+        # own work.
+        band_bytes = max(IM2COL_BAND_BYTES, 4 * p.out_channels * self.k)
+        self.band_rows = min(oh, max(1, band_bytes // (8 * self.k * ow)))
+        self.starts = range(0, oh, self.band_rows)
+        self.w64 = p.weights.reshape(p.out_channels, self.k).astype(np.float64)
+        self.b64 = p.bias.astype(np.float64)[:, None]
+        self.out = np.empty((p.out_channels, oh, ow), dtype=np.float32)
+        self.claims = itertools.count()
+        self.finished = 0
+        self.error: BaseException | None = None
+
+    def run_bands(self, owner: bool = False) -> None:
+        """Claim and run bands until none is left unclaimed; the owner then
+        also waits for the bands other threads are still running.
+
+        The calling thread allocates its buffers on its first band and drops
+        them on return. A band's exception is kept for the owning ``conv2d``
+        call to raise.
+        """
+        bufs = full = error = None
+        done, n = 0, len(self.starts)
+        while (i := next(self.claims)) < n:
+            try:
+                if bufs is None:
+                    bufs = self._buffers()
+                    full = self._views(self.band_rows, bufs)
+                r0 = self.starts[i]
+                rows = min(self.band_rows, self.oh - r0)
+                _conv_band(self, r0, full if rows == self.band_rows
+                           else self._views(rows, bufs))
+            except BaseException as exc:  # re-raised by the owning conv2d
+                error = error or exc
+            done += 1
+        with _board:
+            if self in _open_calls:
+                _open_calls.remove(self)
+            self.error = self.error or error
+            self.finished += done
+            if owner:
+                _board.wait_for(lambda: self.finished == n)
+            elif self.finished == n:
+                _board.notify_all()
+
+    def _buffers(self):
+        """One thread's band buffers: padded input rows, im2col columns and
+        the GEMM result, each sized for a full band."""
+        p, (c, _, w) = self.p, self.x.shape
+        n = self.band_rows * self.ow
+        # The pad columns of the input rows are never written.
+        band_in = np.zeros((c, (self.band_rows - 1) * p.stride + p.kernel_h,
+                            w + 2 * p.pad), dtype=np.float64)
+        return (band_in, np.empty(self.k * n, dtype=np.float64),
+                np.empty(p.out_channels * n, dtype=np.float64))
+
+    def _views(self, rows: int, bufs):
+        """Views into ``bufs`` for a band of ``rows`` output rows: its padded
+        input rows, their patches, the columns (shaped like the patches and
+        as a matrix) and the GEMM result (as a matrix and as rows)."""
+        band_in, cols_buf, acc_buf = bufs
+        p, n = self.p, rows * self.ow
+        band = band_in[:, : (rows - 1) * p.stride + p.kernel_h]
+        sc, sh, sw = band.strides
+        patches = as_strided(
+            band,
+            shape=(band.shape[0], p.kernel_h, p.kernel_w, rows, self.ow),
+            strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
+        )
+        cols = cols_buf[: self.k * n].reshape(self.k, n)
+        acc = acc_buf[: p.out_channels * n].reshape(p.out_channels, n)
+        return (band, patches, cols.reshape(patches.shape), cols, acc,
+                acc.reshape(p.out_channels, rows, self.ow))
+
+
+def _conv_band(call: _ConvCall, r0: int, views) -> None:
+    """Output rows from ``r0`` of ``call``, in the views of one thread."""
+    band, patches, cols_nd, cols, acc, acc_rows = views
+    p, h, w = call.p, call.x.shape[1], call.x.shape[2]
+    # Padded rows [lo, lo + span) feed this band: `top` rows of padding,
+    # input rows [y0, y1), then padding to the end of the span.
+    lo, span = r0 * p.stride, band.shape[1]
+    top = max(0, p.pad - lo)
+    y0, y1 = max(0, lo - p.pad), min(h, lo + span - p.pad)
+    band[:, :top] = 0.0
+    band[:, top : top + y1 - y0, p.pad : p.pad + w] = call.x[:, y0:y1]
+    band[:, top + y1 - y0 :] = 0.0
+    np.copyto(cols_nd, patches)
+    np.matmul(call.w64, cols, out=acc)
+    acc += call.b64
+    call.out[:, r0 : r0 + acc_rows.shape[1]] = acc_rows
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cwseg import (
     ContractError,
@@ -179,6 +182,23 @@ def test_argmax_mask_rules():
     assert not argmax_mask(tie).any()
     pixel = np.array([[[0.2]], [[0.9]]], dtype=np.float32)
     assert argmax_mask(pixel)[0, 0] == 1
+
+
+# Few distinct values, so ties, NaNs, infinities and signed zeros meet often.
+SPECIAL_SCORES = st.sampled_from(
+    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+     float(np.finfo(np.float32).max)]) | st.floats(width=32)
+
+
+@settings(max_examples=300)
+@given(scores=st.tuples(st.integers(2, 5), st.integers(1, 4),
+                        st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float32, shape, elements=SPECIAL_SCORES)))
+def test_argmax_mask_equals_numpy_argmax(scores):
+    got = argmax_mask(scores)
+    want = np.argmax(scores, axis=0)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_work_counter_full_forward():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cwseg.cli as cli
+from cwseg import tensor_ops
 from cwseg import (
     DEFAULT_PALETTE,
     Adaptive,
@@ -193,6 +194,47 @@ def test_frame_of_another_size_exits_4(tmp_path, capsys, weights, bad):
     assert segment([manifest, "--weights", weights, "--out",
                     tmp_path / "out"]) == 4
     assert "expected shape" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
+    assert written == [p.name for p in paths[:bad]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [1, 4])
+def test_stage1_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys,
+                                                         monkeypatch, bad):
+    # conv1_1 weights near the float32 limit: black frames give finite
+    # scores, the white frame overflows conv1_1 in its stage 1. Frames are
+    # wide, so conv1_1 has 8 bands.
+    store = gen_weights(CFG, 7)
+    store["conv1_1"] = np.full_like(store["conv1_1"], 1e38)
+    weights = tmp_path / "overflow.cwf"
+    write_weights(store, weights)
+    frames = [np.zeros((3, 32, 1024), dtype=np.float32) for _ in range(6)]
+    frames[bad] = np.ones((3, 32, 1024), dtype=np.float32)
+    manifest, paths = write_sequence(tmp_path, frames)
+
+    # The helper's bands of the white frame's conv1_1 wait until the main
+    # thread has run one of them, so the failure goes through shared bands.
+    main_ran = threading.Event()
+    band = tensor_ops._conv_band
+
+    def band_shared_on_white_frame(call, r0, views):
+        white = call.x.shape[0] == 3 and call.x[0, 0, 0] == 1.0
+        on_main = threading.current_thread() is threading.main_thread()
+        if white and not on_main:
+            assert main_ran.wait(timeout=10)
+        band(call, r0, views)
+        if white and on_main:
+            main_ran.set()
+
+    monkeypatch.setattr(tensor_ops, "_conv_band", band_shared_on_white_frame)
+    threads = threading.active_count()
+    assert segment([manifest, "--weights", weights, "--out",
+                    tmp_path / "out"]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert main_ran.is_set()
     assert threading.active_count() == threads
     written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
     assert written == [p.name for p in paths[:bad]]

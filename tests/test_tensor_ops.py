@@ -1,3 +1,8 @@
+import sys
+import threading
+from concurrent.futures import Future
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,8 @@ from cwseg import (
     relu,
     upsample_bilinear,
 )
-from cwseg.tensor_ops import IM2COL_BAND_BYTES
+from cwseg import tensor_ops
+from cwseg.tensor_ops import IM2COL_BAND_BYTES, help_until
 from oracles import conv2d_oracle, maxpool2d_oracle, upsample_bilinear_oracle
 
 
@@ -214,6 +220,19 @@ def band_layout(c, k, oh, ow, oc):
     return tuple(min(rows, oh - r0) for r0 in range(0, oh, rows))
 
 
+def band_case(c, h, w, k, stride, pad, oc):
+    """A seeded input and layer for one BAND_CASES shape."""
+    rng = np.random.default_rng(c * 1000 + w)
+    x = rng.uniform(-1, 1, (c, h, w)).astype(np.float32)
+    p = ConvParams(
+        oc, c, k, k,
+        rng.uniform(-1, 1, (oc, c, k, k)).astype(np.float32),
+        rng.uniform(-1, 1, oc).astype(np.float32),
+        stride=stride, pad=pad,
+    )
+    return x, p
+
+
 @pytest.mark.parametrize("c,h,w,k,stride,pad,oc", list(BAND_CASES))
 def test_conv_bands_match_untiled_gemm_bytes(c, h, w, k, stride, pad, oc):
     oh = (h + 2 * pad - k) // stride + 1
@@ -224,18 +243,146 @@ def test_conv_bands_match_untiled_gemm_bytes(c, h, w, k, stride, pad, oc):
         # The first band always reads top padding; the last band reads
         # bottom padding as well as input rows.
         assert (oh - 1) * stride + k > h + pad
-    rng = np.random.default_rng(c * 1000 + w)
-    x = rng.uniform(-1, 1, (c, h, w)).astype(np.float32)
-    p = ConvParams(
-        oc, c, k, k,
-        rng.uniform(-1, 1, (oc, c, k, k)).astype(np.float32),
-        rng.uniform(-1, 1, oc).astype(np.float32),
-        stride=stride, pad=pad,
-    )
+    x, p = band_case(c, h, w, k, stride, pad, oc)
     got = conv2d(x, p)
     want = untiled_conv2d(x, p)
     assert got.shape == (oc, oh, ow) and got.dtype == np.float32
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# conv2d bands run by threads blocked in help_until
+
+
+@contextmanager
+def helping_threads(count=1):
+    """``count`` threads in ``help_until`` on one pending future; on exit
+    the future completes and every thread must have returned."""
+    threads_before = threading.active_count()
+    pending = Future()
+    # Daemon threads, so a helper that never returns fails the test
+    # instead of hanging the interpreter at exit.
+    threads = [threading.Thread(target=help_until, args=(pending,),
+                                daemon=True) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    try:
+        yield threads
+    finally:
+        pending.set_result(None)
+        for thread in threads:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threading.active_count() == threads_before
+
+
+def wrap_bands(monkeypatch, before=None, after=None):
+    """Wrap ``tensor_ops._conv_band`` to call ``before()`` and ``after()``
+    around each band, on the thread that runs it."""
+    band = tensor_ops._conv_band
+
+    def wrapped(*args):
+        if before:
+            before()
+        band(*args)
+        if after:
+            after()
+
+    monkeypatch.setattr(tensor_ops, "_conv_band", wrapped)
+
+
+@pytest.mark.parametrize("c,h,w,k,stride,pad,oc", list(BAND_CASES))
+def test_conv_bands_shared_with_a_helping_thread_match_untiled_bytes(
+        monkeypatch, c, h, w, k, stride, pad, oc):
+    x, p = band_case(c, h, w, k, stride, pad, oc)
+    helped = []
+    helper_ran = threading.Event()
+    with helping_threads() as (helper,):
+        def before():
+            # The owner's first band waits until the helper has finished
+            # one, so every case really is shared.
+            if threading.current_thread() is not helper:
+                assert helper_ran.wait(timeout=10)
+
+        def after():
+            if threading.current_thread() is helper:
+                helped.append(1)
+                helper_ran.set()
+
+        wrap_bands(monkeypatch, before, after)
+        got = conv2d(x, p)
+    assert helped
+    assert got.tobytes() == untiled_conv2d(x, p).tobytes()
+
+
+def test_band_error_on_helping_thread_raises_from_conv2d(monkeypatch):
+    x, p = band_case(*next(iter(BAND_CASES)))
+    failed = threading.Event()
+    with helping_threads() as (helper,):
+        def before():
+            if threading.current_thread() is helper:
+                failed.set()
+                raise RuntimeError("band failed on the helper")
+            assert failed.wait(timeout=10)
+
+        wrap_bands(monkeypatch, before)
+        with pytest.raises(RuntimeError, match="band failed on the helper"):
+            conv2d(x, p)
+    # The helper survived its band's error and still helps.
+    monkeypatch.undo()
+    with helping_threads():
+        assert conv2d(x, p).tobytes() == untiled_conv2d(x, p).tobytes()
+
+
+@pytest.mark.parametrize("outcome", ["result", "exception", "done-before"])
+def test_help_until_returns_when_its_future_is_done(outcome):
+    threads_before = threading.active_count()
+    future = Future()
+    if outcome == "done-before":
+        future.set_result(None)
+        help_until(future)
+        return
+    thread = threading.Thread(target=help_until, args=(future,), daemon=True)
+    thread.start()
+    if outcome == "result":
+        future.set_result(1)
+    else:
+        future.set_exception(RuntimeError("stage 1 failed"))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert threading.active_count() == threads_before
+
+
+def test_shared_bands_under_fast_thread_switching(monkeypatch):
+    """More helpers than cores and a tiny switch interval: every band runs
+    exactly once and the bytes stay those of the unbanded GEMM."""
+    cases = [band_case(*case) for case in BAND_CASES]
+    want = [untiled_conv2d(x, p).tobytes() for x, p in cases]
+    lock = threading.Lock()
+    ran = []
+
+    def count():
+        with lock:
+            ran.append(1)
+
+    wrap_bands(monkeypatch, after=count)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with helping_threads(3):
+            # The owner runs on a thread of its own, so a lost wake-up
+            # fails the join below instead of hanging the suite.
+            owner = threading.Thread(target=lambda: results.extend(
+                conv2d(x, p).tobytes() for _ in range(5) for x, p in cases),
+                daemon=True)
+            owner.start()
+            owner.join(timeout=60)
+            assert not owner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == want * 5
+    assert len(ran) == 5 * sum(len(bands) for bands in BAND_CASES.values())
 
 
 # ---------------------------------------------------------------------------
