@@ -80,6 +80,9 @@ def _load_net(weights_path, first_frame_shape) -> StagedNet:
     for need in ("conv1_1", "score_fr"):
         if need not in store:
             raise ContractError(f"weight store is missing entry '{need}'")
+        if store[need].ndim != 4:
+            raise ShapeError(f"weight store entry '{need}' has shape "
+                             f"{store[need].shape}, expected rank 4")
     base_width = int(store["conv1_1"].shape[0])
     in_channels = int(store["conv1_1"].shape[1])
     num_classes = int(store["score_fr"].shape[0])
@@ -306,16 +309,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sum_elapsed(traces) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _arm_report(wall: float, traces) -> dict:
+    """One bench arm: its wall seconds, and the per-part seconds, MACs and
+    firings summed over ``traces``. Stage-1 seconds are busy time on the
+    helper thread, so ``per_stage_elapsed`` can sum to more than ``wall``."""
+    per_stage: dict[str, float] = {}
     for t in traces:
-        for key, dt in t.elapsed.items():
-            out[key] = out.get(key, 0.0) + dt
-    return out
-
-
-def _sum_macs(traces) -> int:
-    return sum(sum(t.macs.values()) for t in traces)
+        for part, dt in t.elapsed.items():
+            per_stage[part] = per_stage.get(part, 0.0) + dt
+    return {
+        "total_elapsed": wall,
+        "per_stage_elapsed": per_stage,
+        "macs": sum(sum(t.macs.values()) for t in traces),
+        "firings": _firing_counts(traces),
+    }
 
 
 def cmd_bench(args) -> int:
@@ -335,33 +342,19 @@ def cmd_bench(args) -> int:
             _run_frames(net, arm_schedule, policy, frames, first,
                         lambda index, mask, trace, scores: traces.append(trace))
             wall += time.perf_counter() - t0
-        return wall, traces
+        return _arm_report(wall, traces)
 
-    full_wall, full_traces = run_arm(Always())
-    cw_wall, cw_traces = run_arm(schedule)
-
-    full_macs = _sum_macs(full_traces)
-    cw_macs = _sum_macs(cw_traces)
+    full = run_arm(Always())
+    cw = run_arm(schedule)
     report = {
         "frames": len(frames),
         "repeat": args.repeat,
-        "full": {
-            "total_elapsed": full_wall,
-            "per_stage_elapsed": _sum_elapsed(full_traces),
-            "macs": full_macs,
-            "firings": _firing_counts(full_traces),
-        },
-        "clockwork": {
-            "schedule": args.schedule,
-            "total_elapsed": cw_wall,
-            "per_stage_elapsed": _sum_elapsed(cw_traces),
-            "macs": cw_macs,
-            "firings": _firing_counts(cw_traces),
-        },
-        "wall_ratio": cw_wall / full_wall,
-        "speedup_wall": full_wall / cw_wall,
-        "work_ratio": cw_macs / full_macs,
-        "speedup_work": full_macs / cw_macs,
+        "full": full,
+        "clockwork": {"schedule": args.schedule, **cw},
+        "wall_ratio": cw["total_elapsed"] / full["total_elapsed"],
+        "speedup_wall": full["total_elapsed"] / cw["total_elapsed"],
+        "work_ratio": cw["macs"] / full["macs"],
+        "speedup_work": full["macs"] / cw["macs"],
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -166,7 +166,8 @@ def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) ->
     img = as_chw(image)
     if img.shape[0] != 3:
         raise ShapeError(f"mask image must be RGB (3 channels), got {img.shape[0]}")
-    rgb = np.rint(img * np.float32(255.0)).astype(np.int64)
+    # Rounded float32 channels compare exactly with the integer palette.
+    rgb = np.rint(img * np.float32(255.0))
     h, w = rgb.shape[1], rgb.shape[2]
     labels = np.full((h, w), -1, dtype=np.int64)
     for idx, (r, g, b) in enumerate(palette):
@@ -174,7 +175,9 @@ def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) ->
         labels[hit] = idx
     if (labels < 0).any():
         row, col = map(int, np.argwhere(labels < 0)[0])
-        color = (int(rgb[0, row, col]), int(rgb[1, row, col]), int(rgb[2, row, col]))
+        # A NaN or infinite channel has no integer value; name it as is.
+        color = tuple(int(v) if math.isfinite(v) else float(v)
+                      for v in rgb[:, row, col])
         raise FileFormatError(
             f"mask pixel at row {row}, col {col} has color {color} "
             f"which is not in the palette"

@@ -15,6 +15,7 @@ worthwhile for the clockwork scheduler.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -128,20 +129,30 @@ class StageOutputs:
 
 
 class WorkCounter:
-    """Tallies convolution invocations and multiply-accumulate counts.
+    """The record of one frame's work: convolution invocations and
+    multiply-accumulate counts per layer, and wall seconds per stage part.
 
-    Keys are layer names; aggregate per stage via ``stage_convs`` /
+    Conv keys are layer names; aggregate per stage via ``stage_convs`` /
     ``stage_macs``. Counting happens at the conv2d call sites, so totals
-    reflect work actually executed.
+    reflect work actually executed. ``seconds`` has a key only for each part
+    run through :meth:`timed` ("stage1", "stage2", "stage3", "fusion").
     """
 
     def __init__(self):
         self.convs: dict[str, int] = {}
         self.macs: dict[str, int] = {}
+        self.seconds: dict[str, float] = {}
 
     def record(self, layer: str, macs: int) -> None:
         self.convs[layer] = self.convs.get(layer, 0) + 1
         self.macs[layer] = self.macs.get(layer, 0) + macs
+
+    def timed(self, part: str, fn, *args):
+        """Return ``fn(*args)``, keeping its wall seconds under ``part``."""
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.seconds[part] = time.perf_counter() - t0
+        return out
 
     def _by_stage(self, per_layer: dict[str, int]) -> dict[str, int]:
         out: dict[str, int] = {}

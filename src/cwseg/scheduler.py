@@ -26,13 +26,16 @@ loop: :func:`step` accepts stage 1 already run (``_time_stage1``) in place
 of the frame. The CLI's frame loop, which ``segment`` and ``bench`` share,
 runs it for frame k+1 on a helper thread while ``step`` finishes frame k.
 :func:`run_sequence` stays serial; it is the reference.
+
+Each frame's :class:`WorkCounter` is its record: ``_time_stage1`` creates
+it and ``step`` runs every later part through it, so it holds the frame's
+convolutions, MACs and per-part seconds, and the trace is read from it.
 """
 from __future__ import annotations
 
 import enum
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -110,13 +113,12 @@ class PersistedState:
 
 @dataclass(frozen=True)
 class _Stage1Result:
-    """Stage 1 of one frame, run ahead of :func:`step`: its two outputs, its
-    wall seconds and the :class:`WorkCounter` holding its convolutions.
-    ``step`` goes on recording the frame's later stages into ``work``."""
+    """Stage 1 of one frame, run ahead of :func:`step`: its two outputs and
+    the frame's :class:`WorkCounter`, which holds stage 1's convolutions and
+    seconds. ``step`` goes on recording the frame's later parts into ``work``."""
 
     pool3: Tensor
     score_pool3: Tensor
-    seconds: float
     work: WorkCounter
 
 
@@ -127,17 +129,16 @@ def _time_stage1(net: StagedNet, frame: Tensor) -> _Stage1Result:
     than the :func:`step` that consumes the result.
     """
     work = WorkCounter()
-    t0 = time.perf_counter()
-    pool3, score_pool3 = run_stage1(net, frame, work)
-    return _Stage1Result(pool3, score_pool3, time.perf_counter() - t0, work)
+    pool3, score_pool3 = work.timed("stage1", run_stage1, net, frame, work)
+    return _Stage1Result(pool3, score_pool3, work)
 
 
 @dataclass(frozen=True)
 class StageTrace:
     """Per-frame execution record.
 
-    ``elapsed`` has keys only for the parts that ran ("stage1", "stage2",
-    "stage3", "fusion"); ``convs``/``macs`` count convolution work per stage
+    ``elapsed`` is the frame's ``WorkCounter.seconds``, with keys only for
+    the parts that ran; ``convs``/``macs`` count convolution work per stage
     label. ``change`` is None except in adaptive mode past frame 0.
     """
 
@@ -194,21 +195,15 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
     a silent re-initialization.
     """
     index = 0 if state is None else state.frames_seen
-    if index > 0 and state is None:
-        raise ContractError("state is required after frame 0")
-
     if not isinstance(frame, _Stage1Result):
         frame = _time_stage1(net, frame)
     pool3, score_pool3, work = frame.pool3, frame.score_pool3, frame.work
-    elapsed: dict[str, float] = {"stage1": frame.seconds}
 
     # Firing only grows with the change, so at infinite change should_fire
     # names every stage that can fire on this frame. Stage 2 runs before the
     # decision: its score_pool4 is the adaptive change signal.
     if StageId.STAGE2 in should_fire(schedule, index, math.inf):
-        t0 = time.perf_counter()
-        pool4, score_pool4 = run_stage2(net, pool3, work)
-        elapsed["stage2"] = time.perf_counter() - t0
+        pool4, score_pool4 = work.timed("stage2", run_stage2, net, pool3, work)
     else:
         pool4, score_pool4 = None, state.cached_score_pool4
     change: Optional[float] = None
@@ -216,38 +211,30 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
         change = mean_abs_diff(score_pool4, state.prev_score)
     fired = should_fire(schedule, index, change)
 
-    if StageId.STAGE3 in fired:
-        t0 = time.perf_counter()
-        score_fr = run_stage3(net, pool4, work)
-        elapsed["stage3"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        final = fuse_and_upsample(net, score_fr, score_pool4, score_pool3)
-        elapsed["fusion"] = time.perf_counter() - t0
-        new_state = PersistedState(
-            prev_score=score_pool4,
-            cached_score_pool4=score_pool4,
-            cached_score_fr=score_fr,
-            cached_final=final,
-            frames_seen=index + 1,
-        )
+    deep = StageId.STAGE3 in fired
+    if deep:
+        score_fr = work.timed("stage3", run_stage3, net, pool4, work)
     else:
-        if policy is SkipPolicy.REUSE_FINAL:
-            final = state.cached_final
-        else:
-            t0 = time.perf_counter()
-            final = fuse_and_upsample(
-                net, state.cached_score_fr, score_pool4, score_pool3
-            )
-            elapsed["fusion"] = time.perf_counter() - t0
-        new_state = replace(state, cached_score_pool4=score_pool4,
-                            frames_seen=index + 1)
+        score_fr = state.cached_score_fr
+    if deep or policy is SkipPolicy.FUSE_CACHED_DEEP:
+        final = work.timed("fusion", fuse_and_upsample, net, score_fr,
+                           score_pool4, score_pool3)
+    else:
+        final = state.cached_final
+    new_state = PersistedState(
+        prev_score=score_pool4 if deep else state.prev_score,
+        cached_score_pool4=score_pool4,
+        cached_score_fr=score_fr,
+        cached_final=final if deep else state.cached_final,
+        frames_seen=index + 1,
+    )
     mask = argmax_mask(final)
 
     trace = StageTrace(
         frame_index=index,
         fired=fired,
         change=change,
-        elapsed=elapsed,
+        elapsed=work.seconds,
         convs=work.stage_convs(),
         macs=work.stage_macs(),
     )

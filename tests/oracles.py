@@ -2,11 +2,13 @@
 
 Everything in this file is deliberately written as plain loops over Python
 scalars: slow, obvious, and sharing no code with the vectorized
-implementations under test. The one exception is
-``average_precision_argsort``, a frozen copy of an earlier vectorized
-implementation that its faster replacement must match bit for bit.
+implementations under test. The exceptions are ``average_precision_argsort``
+and ``decode_gt_mask_int64``, frozen copies of earlier vectorized
+implementations that their faster replacements must match bit for bit.
 """
 import numpy as np
+
+from cwseg.errors import FileFormatError
 
 
 def conv2d_oracle(x, weights, bias, stride=1, pad=0):
@@ -213,3 +215,24 @@ def average_precision_argsort(scores, truth, positive_class=1):
         ok = recalls >= level
         total += float(precisions[ok].max()) if ok.any() else 0.0
     return total / 11.0
+
+
+def decode_gt_mask_int64(image, palette):
+    """Palette decode through an int64 copy of the rounded channels. The
+    error names the first unknown pixel in row-major order and its colour;
+    colours outside the int64 range are undefined here."""
+    img = np.asarray(image, dtype=np.float32)
+    rgb = np.rint(img * np.float32(255.0)).astype(np.int64)
+    h, w = rgb.shape[1], rgb.shape[2]
+    labels = np.full((h, w), -1, dtype=np.int64)
+    for idx, (r, g, b) in enumerate(palette):
+        hit = (rgb[0] == r) & (rgb[1] == g) & (rgb[2] == b)
+        labels[hit] = idx
+    if (labels < 0).any():
+        row, col = map(int, np.argwhere(labels < 0)[0])
+        color = (int(rgb[0, row, col]), int(rgb[1, row, col]), int(rgb[2, row, col]))
+        raise FileFormatError(
+            f"mask pixel at row {row}, col {col} has color {color} "
+            f"which is not in the palette"
+        )
+    return labels

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from cwseg import write_image
-from testutil import make_frame, random_frames
+from cwseg import read_weights, write_image, write_weights
+from testutil import assert_elapsed_rule, fixed_sequence, make_frame, random_frames
 
 CMD = [sys.executable, "-m", "cwseg"]
 
@@ -101,6 +101,27 @@ def test_fixed_schedule_trace_pattern(tmp_path, weights_file):
     assert [t["frame_index"] for t in trace] == list(range(8))
     assert [t["frame_index"] for t in trace if 2 in t["fired"]] == [0, 2, 4, 6]
     assert [t["frame_index"] for t in trace if 3 in t["fired"]] == [0, 4]
+
+
+@pytest.mark.parametrize("policy", ["reuse-final", "fuse-cached-deep"])
+def test_trace_elapsed_names_exactly_the_parts_that_ran(tmp_path, weights_file,
+                                                        policy):
+    manifest = write_frames(tmp_path, fixed_sequence())
+    fired3 = {}
+    for schedule, extra in (("always", ()),
+                            ("fixed", ("--period2", 2, "--period3", 4)),
+                            ("adaptive", ("--theta", 0.002))):
+        out = tmp_path / schedule
+        proc = run_cli("segment", manifest, "--weights", weights_file,
+                       "--schedule", schedule, *extra,
+                       "--skip-policy", policy, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        trace = read_trace(out)
+        for t in trace:
+            assert_elapsed_rule(t["fired"], policy, t["elapsed"])
+        fired3[schedule] = [t["frame_index"] for t in trace if 3 in t["fired"]]
+    assert fired3["fixed"] == [0, 4]
+    assert 0 < len(fired3["adaptive"]) < len(fixed_sequence())
 
 
 def checkerboard(h, w):
@@ -226,6 +247,25 @@ def test_contract_errors_exit_4(tmp_path, weights_file):
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize("command", ["segment", "bench"])
+@pytest.mark.parametrize("entry, value", [
+    ("conv1_1", np.zeros(3, dtype=np.float32)),  # rank 1
+    ("score_fr", np.float32(1.0)),                # rank 0
+])
+def test_weight_entry_of_wrong_rank_exits_4(tmp_path, weights_file, command,
+                                            entry, value):
+    store = read_weights(weights_file)
+    store[entry] = value
+    bad = tmp_path / "bad.cwf"
+    write_weights(store, bad)
+    manifest = write_frames(tmp_path, random_frames(12, 1))
+    extra = ("--out", tmp_path / "o") if command == "segment" else ()
+    proc = run_cli(command, manifest, "--weights", bad, *extra)
+    assert proc.returncode == 4, proc.stderr
+    assert "error:" in proc.stderr and entry in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bench_always_work_ratio_is_one(tmp_path, weights_file):
     manifest = write_frames(tmp_path, random_frames(9, 3))
     proc = run_cli("bench", manifest, "--weights", weights_file,
@@ -258,3 +298,9 @@ def test_bench_static_adaptive_fires_once(tmp_path, weights_file):
     assert report["clockwork"]["firings"]["stage1"] == 16
     assert report["work_ratio"] < 1.0
     assert report["speedup_work"] > 1.0
+    full, cw = report["full"], report["clockwork"]
+    arm_keys = {"total_elapsed", "per_stage_elapsed", "macs", "firings"}
+    assert set(full) == arm_keys
+    assert set(cw) == arm_keys | {"schedule"}
+    assert report["wall_ratio"] == cw["total_elapsed"] / full["total_elapsed"]
+    assert report["speedup_wall"] == full["total_elapsed"] / cw["total_elapsed"]

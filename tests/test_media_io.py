@@ -23,7 +23,7 @@ from cwseg import (
     write_weights,
 )
 from cwseg.media_io import _splitmix64_unit
-from oracles import splitmix64_oracle
+from oracles import decode_gt_mask_int64, splitmix64_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,53 @@ def test_unknown_color_names_pixel():
     img = rgb_tensor([[(255, 0, 255), (12, 34, 56)]])
     with pytest.raises(FileFormatError, match=r"row 0, col 1.*\(12, 34, 56\)"):
         decode_gt_mask(img, DEFAULT_PALETTE)
+
+
+_BYTE = st.integers(0, 255)
+
+
+@st.composite
+def _mask_images(draw):
+    """A palette and a (3, H, W) image whose pixels are palette colours,
+    other byte colours as ``read_image`` scales them, or any float32 in
+    [-2, 2] (its colour stays within the int64 range)."""
+    palette = draw(st.lists(st.tuples(_BYTE, _BYTE, _BYTE), min_size=1,
+                            max_size=4, unique=True))
+    channel = st.one_of(_BYTE.map(lambda v: np.float32(v) / np.float32(255)),
+                        st.floats(-2, 2, width=32))
+    pixel = st.one_of(
+        st.sampled_from(palette).map(
+            lambda c: tuple(np.float32(v) / np.float32(255) for v in c)),
+        st.tuples(channel, channel, channel))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pixels = draw(st.lists(pixel, min_size=h * w, max_size=h * w))
+    image = np.array(pixels, dtype=np.float32).reshape(h, w, 3).transpose(2, 0, 1)
+    return np.ascontiguousarray(image), tuple(palette)
+
+
+@settings(max_examples=300)
+@given(case=_mask_images())
+def test_decode_gt_mask_matches_int64_decode(case):
+    image, palette = case
+    try:
+        want = decode_gt_mask_int64(image, palette)
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as got:
+            decode_gt_mask(image, palette)
+        assert str(got.value) == str(exc)
+    else:
+        got = decode_gt_mask(image, palette)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+
+@given(case=_mask_images(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       where=st.integers(0, 10**6))
+def test_decode_gt_mask_non_finite_pixel_is_format_error(case, bad, where):
+    image, palette = case
+    image.flat[where % image.size] = bad
+    with pytest.raises(FileFormatError, match="not in the palette"):
+        decode_gt_mask(image, palette)
 
 
 def test_mask_round_trip(tmp_path):

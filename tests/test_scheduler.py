@@ -21,7 +21,13 @@ from cwseg import (
     step,
 )
 from cwseg.scheduler import _time_stage1
-from testutil import fixed_sequence, make_frame, random_frames, tiny_net
+from testutil import (
+    assert_elapsed_rule,
+    fixed_sequence,
+    make_frame,
+    random_frames,
+    tiny_net,
+)
 
 S1, S2, S3 = StageId.STAGE1, StageId.STAGE2, StageId.STAGE3
 ALL = frozenset((S1, S2, S3))
@@ -204,10 +210,18 @@ def test_work_accounting_matches_firings():
     s2_firings = sum(1 for t in traces if S2 in t.fired)
     s2_convs = sum(t.convs.get("stage2", 0) for t in traces)
     assert s2_convs == 3 * s2_firings
-    # stages that did not run report no elapsed entry
-    for t in traces:
-        assert ("stage3" in t.elapsed) == (S3 in t.fired)
-        assert ("stage2" in t.elapsed) == (S2 in t.fired)
+
+
+@pytest.mark.parametrize("policy", list(SkipPolicy))
+def test_elapsed_names_exactly_the_parts_that_ran(policy):
+    schedules = (Always(), Fixed(2, 4), Adaptive(0.002))
+    skipped = set()
+    for schedule in schedules:
+        _, traces = run_sequence(tiny_net(), schedule, policy, fixed_sequence())
+        for t in traces:
+            assert_elapsed_rule(t.fired, policy, t.elapsed)
+            skipped |= ALL - t.fired
+    assert skipped == {S2, S3}
 
 
 def test_step_takes_stage1_run_on_another_thread():

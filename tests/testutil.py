@@ -8,7 +8,7 @@ import functools
 
 import numpy as np
 
-from cwseg import NetConfig, build_net, gen_weights
+from cwseg import NetConfig, SkipPolicy, build_net, gen_weights
 
 
 @functools.cache
@@ -54,3 +54,16 @@ def fixed_sequence():
             0.0, 1.0,
         ).astype(np.float32))
     return frames
+
+
+def assert_elapsed_rule(fired, policy, elapsed):
+    """A frame's ``elapsed`` names stage 1 always, stages 2 and 3 exactly
+    when they fired, and fusion exactly when stage 3 fired or the skip policy
+    fuses the cached deep scores; every value is >= 0. ``fired`` holds stage
+    numbers and ``policy`` is a SkipPolicy or its value."""
+    fired = {int(s) for s in fired}
+    expected = {"stage1"} | {f"stage{s}" for s in fired & {2, 3}}
+    if 3 in fired or SkipPolicy(policy) is SkipPolicy.FUSE_CACHED_DEEP:
+        expected.add("fusion")
+    assert set(elapsed) == expected, (fired, policy, elapsed)
+    assert all(dt >= 0 for dt in elapsed.values()), elapsed
