@@ -311,8 +311,9 @@ def cmd_eval(args) -> int:
 
 def _arm_report(wall: float, traces) -> dict:
     """One bench arm: its wall seconds, and the per-part seconds, MACs and
-    firings summed over ``traces``. Stage-1 seconds are busy time on the
-    helper thread, so ``per_stage_elapsed`` can sum to more than ``wall``."""
+    firings summed over ``traces``; both cover every ``--repeat`` pass.
+    Stage-1 seconds are busy time on the helper thread, so
+    ``per_stage_elapsed`` can sum to more than ``wall``."""
     per_stage: dict[str, float] = {}
     for t in traces:
         for part, dt in t.elapsed.items():
@@ -333,9 +334,8 @@ def cmd_bench(args) -> int:
     def run_arm(arm_schedule):
         # Each pass is timed from frame 0's step, as segment's frame rate
         # is: frame 0 is decoded before the clock starts.
-        wall = 0.0
+        wall, traces = 0.0, []
         for _ in range(args.repeat):
-            traces = []
             if not first:
                 first.append(read_image(frames[0]))
             t0 = time.perf_counter()

@@ -123,8 +123,10 @@ def write_pnm(path, pixels: np.ndarray) -> None:
     else:
         raise ShapeError(f"pixels must be (H, W) or (H, W, 3), got {px.shape}")
     h, w = px.shape[0], px.shape[1]
-    header = magic + b"\n%d %d\n255\n" % (w, h)
-    Path(path).write_bytes(header + px.tobytes())
+    px = np.ascontiguousarray(px)
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+        fh.write(memoryview(px))
 
 
 def read_image(path) -> Tensor:
@@ -196,7 +198,8 @@ def write_mask(mask: np.ndarray, palette: Sequence[Color], path) -> None:
             f"[{m.min()}, {m.max()}]"
         )
     lut = np.asarray(palette, dtype=np.uint8)
-    write_pnm(path, lut[m])
+    # take() gathers whole rows several times faster than lut[m].
+    write_pnm(path, lut.take(m, axis=0))
 
 
 def parse_palette(text: str) -> tuple[Color, ...]:
@@ -227,12 +230,15 @@ _MAGIC = b"CWFCN1"
 
 
 class _Cursor:
+    """Reads a weight store front to back; ``take`` returns zero-copy slices
+    of the file's one buffer."""
+
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise FileFormatError(
                 f"{self.path}: truncated at byte offset {self.pos} while "
@@ -248,24 +254,33 @@ class _Cursor:
 
 
 def write_weights(store: dict[str, np.ndarray], path) -> None:
-    """Serialize a name -> float32 array map in CWFCN1 format."""
-    parts = [_MAGIC, len(store).to_bytes(4, "little")]
+    """Serialize a name -> float32 array map in CWFCN1 format.
+
+    Every entry is converted before the file is opened, so a bad entry
+    leaves no file; payloads are then written straight from the arrays.
+    """
+    entries = []
     for name, arr in store.items():
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32), dtype="<f4")
         nb = name.encode("utf-8")
-        parts.append(len(nb).to_bytes(4, "little"))
-        parts.append(nb)
-        parts.append(a.ndim.to_bytes(4, "little"))
-        for d in a.shape:
-            parts.append(int(d).to_bytes(4, "little"))
-        parts.append(a.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        head = [len(nb).to_bytes(4, "little"), nb, a.ndim.to_bytes(4, "little")]
+        head += [int(d).to_bytes(4, "little") for d in a.shape]
+        entries.append((b"".join(head), a))
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + len(store).to_bytes(4, "little"))
+        for head, a in entries:
+            fh.write(head)
+            fh.write(memoryview(a))
 
 
 def read_weights(path) -> dict[str, np.ndarray]:
-    """Read a CWFCN1 weight store; strict about magic, sizes and duplicates."""
+    """Read a CWFCN1 weight store; strict about magic, sizes and duplicates.
+
+    Entries are read-only float32 views of the file's bytes, read once; copy
+    an entry to change it.
+    """
     cur = _Cursor(Path(path).read_bytes(), path)
-    magic = cur.take(len(_MAGIC), "magic")
+    magic = bytes(cur.take(len(_MAGIC), "magic"))
     if magic != _MAGIC:
         raise FileFormatError(
             f"{path}: bad magic {magic!r}, expected {_MAGIC!r} "
@@ -278,7 +293,7 @@ def read_weights(path) -> dict[str, np.ndarray]:
         if name_len > 4096:
             raise FileFormatError(f"{path}: entry {i} name length {name_len} is absurd")
         try:
-            name = cur.take(name_len, f"entry {i} name").decode("utf-8")
+            name = str(cur.take(name_len, f"entry {i} name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: entry {i} name is not UTF-8") from exc
         if name in store:
@@ -289,9 +304,7 @@ def read_weights(path) -> dict[str, np.ndarray]:
         dims = tuple(cur.u32(f"entry '{name}' dim {d}") for d in range(rank))
         n_elems = math.prod(dims)
         payload = cur.take(4 * n_elems, f"entry '{name}' payload")
-        store[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(
-            np.float32
-        )
+        store[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return store
 
 

@@ -167,9 +167,6 @@ class WorkCounter:
     def stage_macs(self) -> dict[str, int]:
         return self._by_stage(self.macs)
 
-    def total_macs(self) -> int:
-        return sum(self.macs.values())
-
 
 def build_net(cfg: NetConfig, weights: dict[str, np.ndarray]) -> StagedNet:
     """Assemble and validate a network from a weight store.

@@ -10,11 +10,14 @@ freely across threads. Tensors are checked where they enter the package
 kernels check only that their shapes agree.
 
 ``conv2d`` lowers each convolution to a float64 im2col matrix times the
-float64 weights. It builds that matrix one band of output rows at a time, so
-the column buffer stays near ``IM2COL_BAND_BYTES`` and in cache, instead of
-holding every output pixel at once; layers with large weights get bands of
-up to half their float64 weight bytes. Each band pads only the input rows it
-reads, in a small zeroed buffer. Banding splits only the output pixels;
+float64 weights. ``ConvParams`` rounds the weights to float32 and holds them
+as float64 once, so every call multiplies by views of the same read-only
+arrays and no call casts them again. ``conv2d`` builds that matrix one band
+of output rows at a time, so the column buffer stays near
+``IM2COL_BAND_BYTES`` and in cache, instead of holding every output pixel at
+once; layers with large weights get bands of up to half their float64
+weight bytes. Each band pads only the input rows it reads, in a small
+zeroed buffer. Banding splits only the output pixels;
 each output value is still one dot product over the full kernel volume, so
 results are bit-identical to the unbanded product. ``maxpool2d`` folds the
 window's strided slices together with elementwise maximum, which is exact.
@@ -67,8 +70,10 @@ class ConvParams:
     """Parameters of one convolution layer.
 
     ``weights`` is stored as (out_channels, in_channels, kernel_h, kernel_w)
-    and ``bias`` as (out_channels,). Both arrays are copied and marked
-    read-only so a built network can be shared across threads.
+    and ``bias`` as (out_channels,). Both are rounded to float32 and held as
+    float64 (``float64(float32(value))``), the operands of ``conv2d``'s
+    float64 GEMM, in arrays of their own marked read-only, so a built
+    network can be shared across threads and no call casts its weights.
     """
 
     out_channels: int
@@ -86,19 +91,21 @@ class ConvParams:
                 raise ShapeError(f"ConvParams.{name} must be positive")
         if self.pad < 0:
             raise ShapeError("ConvParams.pad must be nonnegative")
-        w = np.array(self.weights, dtype=np.float32)
+        w = np.asarray(self.weights, dtype=np.float32)
         expected = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
         if w.size != np.prod(expected):
             raise ShapeError(
                 f"weight data has {w.size} elements, expected "
                 f"{int(np.prod(expected))} for shape {expected}"
             )
-        w = w.reshape(expected)
-        b = np.array(self.bias, dtype=np.float32).reshape(-1)
+        # astype copies, so the held arrays own their data.
+        w = w.reshape(expected).astype(np.float64)
+        b = np.asarray(self.bias, dtype=np.float32).reshape(-1)
         if b.shape != (self.out_channels,):
             raise ShapeError(
                 f"bias has {b.size} elements, expected {self.out_channels}"
             )
+        b = b.astype(np.float64)
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -209,8 +216,9 @@ class _ConvCall:
         band_bytes = max(IM2COL_BAND_BYTES, 4 * p.out_channels * self.k)
         self.band_rows = min(oh, max(1, band_bytes // (8 * self.k * ow)))
         self.starts = range(0, oh, self.band_rows)
-        self.w64 = p.weights.reshape(p.out_channels, self.k).astype(np.float64)
-        self.b64 = p.bias.astype(np.float64)[:, None]
+        # Views of the float64 arrays ConvParams holds: no per-call cast.
+        self.w64 = p.weights.reshape(p.out_channels, self.k)
+        self.b64 = p.bias[:, None]
         self.out = np.empty((p.out_channels, oh, ow), dtype=np.float32)
         self.claims = itertools.count()
         self.finished = 0

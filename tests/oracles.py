@@ -2,13 +2,16 @@
 
 Everything in this file is deliberately written as plain loops over Python
 scalars: slow, obvious, and sharing no code with the vectorized
-implementations under test. The exceptions are ``average_precision_argsort``
-and ``decode_gt_mask_int64``, frozen copies of earlier vectorized
-implementations that their faster replacements must match bit for bit.
+implementations under test. The exceptions are ``average_precision_argsort``,
+``decode_gt_mask_int64`` and the ``*_joined`` writers, frozen copies of
+earlier implementations that their faster replacements must match bit for
+bit (or byte for byte).
 """
+from pathlib import Path
+
 import numpy as np
 
-from cwseg.errors import FileFormatError
+from cwseg.errors import FileFormatError, ShapeError
 
 
 def conv2d_oracle(x, weights, bias, stride=1, pad=0):
@@ -236,3 +239,48 @@ def decode_gt_mask_int64(image, palette):
             f"which is not in the palette"
         )
     return labels
+
+
+def write_pnm_joined(path, pixels):
+    """PGM/PPM writer that concatenates the header and ``tobytes()``."""
+    px = np.asarray(pixels)
+    if px.dtype != np.uint8:
+        raise ShapeError(f"pixels must be uint8, got {px.dtype}")
+    if px.ndim == 2:
+        magic = b"P5"
+    elif px.ndim == 3 and px.shape[2] == 3:
+        magic = b"P6"
+    else:
+        raise ShapeError(f"pixels must be (H, W) or (H, W, 3), got {px.shape}")
+    h, w = px.shape[0], px.shape[1]
+    header = magic + b"\n%d %d\n255\n" % (w, h)
+    Path(path).write_bytes(header + px.tobytes())
+
+
+def write_mask_joined(mask, palette, path):
+    """Palette mask writer through fancy indexing ``lut[m]``."""
+    m = np.asarray(mask)
+    if m.ndim != 2 or not np.issubdtype(m.dtype, np.integer):
+        raise ShapeError(f"mask must be a 2-D integer array, got {m.dtype} {m.shape}")
+    if m.size and (m.min() < 0 or m.max() >= len(palette)):
+        raise ShapeError(
+            f"mask labels must lie in [0, {len(palette)}), got range "
+            f"[{m.min()}, {m.max()}]"
+        )
+    lut = np.asarray(palette, dtype=np.uint8)
+    write_pnm_joined(path, lut[m])
+
+
+def write_weights_joined(store, path):
+    """CWFCN1 writer that joins every header and ``tobytes()`` payload."""
+    parts = [b"CWFCN1", len(store).to_bytes(4, "little")]
+    for name, arr in store.items():
+        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        nb = name.encode("utf-8")
+        parts.append(len(nb).to_bytes(4, "little"))
+        parts.append(nb)
+        parts.append(a.ndim.to_bytes(4, "little"))
+        for d in a.shape:
+            parts.append(int(d).to_bytes(4, "little"))
+        parts.append(a.astype("<f4").tobytes())
+    Path(path).write_bytes(b"".join(parts))

@@ -277,6 +277,24 @@ def test_bench_always_work_ratio_is_one(tmp_path, weights_file):
     assert report["full"]["firings"]["stage3"] == 3
 
 
+def test_bench_repeat_sums_every_pass(tmp_path, weights_file):
+    manifest = write_frames(tmp_path, random_frames(12, 10))
+    reports = []
+    for repeat in (1, 3):
+        proc = run_cli("bench", manifest, "--weights", weights_file,
+                       "--schedule", "fixed", "--repeat", repeat)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    once, thrice = reports
+    assert thrice["repeat"] == 3
+    for arm in ("full", "clockwork"):
+        assert thrice[arm]["firings"]["stage1"] == 30
+        assert thrice[arm]["macs"] == 3 * once[arm]["macs"]
+        assert thrice[arm]["firings"] == {
+            k: 3 * v for k, v in once[arm]["firings"].items()}
+    assert thrice["work_ratio"] == once["work_ratio"] < 1.0
+
+
 def test_bench_repeat_below_one_is_usage_error(tmp_path, weights_file):
     manifest = write_frames(tmp_path, random_frames(9, 1))
     for bad in ("0", "-1", "two"):

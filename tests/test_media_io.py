@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cwseg import (
     DEFAULT_PALETTE,
@@ -23,7 +24,13 @@ from cwseg import (
     write_weights,
 )
 from cwseg.media_io import _splitmix64_unit
-from oracles import decode_gt_mask_int64, splitmix64_oracle
+from oracles import (
+    decode_gt_mask_int64,
+    splitmix64_oracle,
+    write_mask_joined,
+    write_pnm_joined,
+    write_weights_joined,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +272,36 @@ def test_weight_store_preserves_arbitrary_bit_patterns(tmp_path):
     assert read_weights(path)["blob"].tobytes() == arr.tobytes()
 
 
+def test_weight_store_entries_are_read_only_views(tmp_path):
+    rng = np.random.default_rng(6)
+    store = {"a": rng.standard_normal((3, 2)).astype(np.float32),
+             "b": np.float32(2.5), "c": np.zeros((0, 4), dtype=np.float32)}
+    path = tmp_path / "w.cwf"
+    write_weights(store, path)
+    first_bytes = path.read_bytes()
+    back = read_weights(path)
+    for name, arr in back.items():
+        assert arr.dtype == np.float32
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        back["a"][0, 0] = 1.0
+    write_weights(back, path)
+    assert path.read_bytes() == first_bytes
+
+
+def _read_weights_error(path, body):
+    path.write_bytes(body)
+    with pytest.raises(FileFormatError) as info:
+        read_weights(path)
+    return str(info.value)
+
+
 def test_weight_store_bad_magic(tmp_path):
     path = tmp_path / "w.cwf"
-    path.write_bytes(b"CWFCN2" + bytes(8))
-    with pytest.raises(FileFormatError, match="magic"):
-        read_weights(path)
+    assert _read_weights_error(path, b"CWFCN2" + bytes(8)) == (
+        f"{path}: bad magic b'CWFCN2', expected b'CWFCN1' "
+        f"(unsupported or wrong format version)"
+    )
 
 
 def test_weight_store_truncated_payload_names_entry(tmp_path):
@@ -279,9 +311,17 @@ def test_weight_store_truncated_payload_names_entry(tmp_path):
             + (2).to_bytes(4, "little")
             + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
             + bytes(8))  # needs 16 payload bytes, has 8
-    path.write_bytes(body)
-    with pytest.raises(FileFormatError, match="'conv'"):
-        read_weights(path)
+    assert _read_weights_error(path, body) == (
+        f"{path}: truncated at byte offset 30 while reading entry 'conv' "
+        f"payload (16 bytes needed, 8 remain)"
+    )
+
+
+def test_weight_store_name_not_utf8(tmp_path):
+    path = tmp_path / "w.cwf"
+    body = (b"CWFCN1" + (1).to_bytes(4, "little")
+            + (2).to_bytes(4, "little") + b"\xff\xfe")
+    assert _read_weights_error(path, body) == f"{path}: entry 0 name is not UTF-8"
 
 
 def test_weight_store_duplicate_entry(tmp_path):
@@ -299,6 +339,83 @@ def test_weight_store_truncated_count(tmp_path):
     path.write_bytes(b"CWFCN1\x01")
     with pytest.raises(FileFormatError, match="count"):
         read_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# writers, byte-equal to frozen copies of the joined-bytes writers
+
+
+def _layout(arr, how):
+    """``arr`` as is, as a non-contiguous view of a larger array, or as a
+    Fortran-ordered copy."""
+    if how == "strided":
+        big = np.zeros((2 * arr.shape[0],) + arr.shape[1:], dtype=arr.dtype)
+        big[::2] = arr
+        return big[::2]
+    if how == "fortran":
+        return np.asfortranarray(arr)
+    return arr
+
+
+_LAYOUTS = st.sampled_from(["c", "strided", "fortran"])
+
+
+@settings(max_examples=60)
+@given(px=st.integers(1, 6).flatmap(lambda h: st.integers(1, 6).flatmap(
+           lambda w: st.sampled_from([(h, w), (h, w, 3)]).flatmap(
+               lambda shape: arrays(np.uint8, shape)))),
+       how=_LAYOUTS)
+def test_write_pnm_matches_joined_writer(tmp_path_factory, px, how):
+    d = tmp_path_factory.mktemp("pnm")
+    write_pnm(d / "new", _layout(px, how))
+    write_pnm_joined(d / "old", _layout(px, how))
+    assert (d / "new").read_bytes() == (d / "old").read_bytes()
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 5), h=st.integers(1, 6), w=st.integers(1, 6),
+       dtype=st.sampled_from([np.int8, np.uint8, np.int32, np.int64,
+                              np.uint64, np.intp]),
+       seed=st.integers(0, 2**32 - 1), how=_LAYOUTS)
+def test_write_mask_matches_joined_writer(tmp_path_factory, n, h, w, dtype,
+                                          seed, how):
+    rng = np.random.default_rng(seed)
+    palette = tuple(tuple(int(v) for v in c)
+                    for c in rng.integers(0, 256, (n, 3)))
+    mask = _layout(rng.integers(0, n, (h, w)).astype(dtype), how)
+    d = tmp_path_factory.mktemp("mask")
+    write_mask(mask, palette, d / "new.ppm")
+    write_mask_joined(mask, palette, d / "old.ppm")
+    assert (d / "new.ppm").read_bytes() == (d / "old.ppm").read_bytes()
+
+
+_ENTRY = st.integers(0, 4).flatmap(
+    lambda rank: arrays(st.sampled_from([np.float32, np.float64]),
+                        st.tuples(*[st.integers(0, 3)] * rank),
+                        elements=st.floats(allow_nan=False, width=32)))
+
+
+@settings(max_examples=60)
+@given(entries=st.lists(st.tuples(st.text(max_size=5), _ENTRY, _LAYOUTS),
+                        max_size=4, unique_by=lambda e: e[0]))
+def test_write_weights_matches_joined_writer(tmp_path_factory, entries):
+    store = {name: (_layout(a, how) if a.ndim else a)
+             for name, a, how in entries}
+    d = tmp_path_factory.mktemp("cwf")
+    write_weights(store, d / "new.cwf")
+    write_weights_joined(store, d / "old.cwf")
+    assert (d / "new.cwf").read_bytes() == (d / "old.cwf").read_bytes()
+
+
+def test_writers_leave_no_file_on_a_bad_array(tmp_path):
+    good = np.zeros((2, 2), dtype=np.float32)
+    with pytest.raises(ValueError):
+        write_weights({"good": good, "bad": np.array(["x"])}, tmp_path / "w.cwf")
+    with pytest.raises(ShapeError):
+        write_pnm(tmp_path / "p.pgm", np.zeros((2, 2, 4), dtype=np.uint8))
+    with pytest.raises(ShapeError):
+        write_mask(np.array([[0, 2]]), DEFAULT_PALETTE, tmp_path / "m.ppm")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

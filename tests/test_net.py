@@ -209,7 +209,6 @@ def test_work_counter_full_forward():
     # spot-check two layers against the closed-form count
     assert work.macs["conv1_1"] == 8 * 64 * 64 * 3 * 3 * 3
     assert work.macs["score_fr"] == 2 * 2 * 2 * 256 * 1 * 1
-    assert work.total_macs() == sum(work.macs.values())
 
 
 def test_golden_seed42_outputs():

@@ -98,6 +98,44 @@ def test_conv_params_arrays_are_frozen():
         p.weights[0, 0, 0, 0] = 2.0
 
 
+@settings(max_examples=50)
+@given(values=arrays(st.sampled_from([np.float32, np.float64]),
+                     st.integers(1, 12),
+                     elements=st.floats(-1e30, 1e30, allow_nan=False)))
+def test_conv_params_hold_float64_rounded_through_float32(values):
+    n = values.size
+    p = ConvParams(n, 1, 1, 1, values, values)
+    want = values.astype(np.float32).astype(np.float64)
+    for held in (p.weights, p.bias):
+        assert held.dtype == np.float64
+        assert not held.flags.writeable
+        assert held.flags.owndata
+        assert not np.shares_memory(held, values)
+        assert held.ravel().tobytes() == want.tobytes()
+
+
+def test_conv_gemm_operands_are_views_of_the_held_weights(monkeypatch):
+    """No per-call cast: every band multiplies by views of ``p.weights`` and
+    ``p.bias`` themselves."""
+    seen = []
+    band = tensor_ops._conv_band
+
+    def spy(call, r0, views):
+        seen.append((call.w64, call.b64))
+        return band(call, r0, views)
+
+    monkeypatch.setattr(tensor_ops, "_conv_band", spy)
+    rng = np.random.default_rng(3)
+    p = ConvParams(4, 2, 3, 3, rng.standard_normal(72), rng.standard_normal(4),
+                   pad=1)
+    conv2d(rng.random((2, 5, 7), dtype=np.float32), p)
+    assert seen
+    for w64, b64 in seen:
+        assert w64.dtype == b64.dtype == np.float64
+        assert np.shares_memory(w64, p.weights)
+        assert np.shares_memory(b64, p.bias)
+
+
 @settings(max_examples=100)
 @given(
     x=tensors(),
