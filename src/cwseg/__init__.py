@@ -5,7 +5,6 @@ from .tensor_ops import (
     ConvParams,
     Tensor,
     add,
-    as_chw,
     conv2d,
     crop_center,
     maxpool2d,
@@ -17,11 +16,9 @@ from .net import (
     NetConfig,
     StagedNet,
     StageId,
-    StageOutputs,
     WorkCounter,
     argmax_mask,
     build_net,
-    full_forward,
     fuse_and_upsample,
     layer_specs,
     run_stage1,

@@ -5,22 +5,8 @@ deterministic test weights.
 Exit codes: 0 success, 2 usage errors, 3 file/format errors, 4 contract or
 shape errors. Reports are plain JSON on stdout; the segment command also
 writes one palette mask per frame plus a line-delimited JSON trace file.
-
-The segment and bench commands run one frame loop, ``_run_frames``. It
-always uses one helper thread: it decodes frame k+1 and runs its stage 1
-while the main thread runs the rest of frame k and hands it on (segment
-writes it, bench keeps its trace), never more than one frame ahead. When
-the main thread is done with frame k before the helper is done with frame
-k+1, it runs the helper's remaining stage-1 conv bands
-(``tensor_ops.help_until``) instead of idling; the bands are the same on
-either thread, so the bits are too. Masks and score maps are the same
-bytes as in the serial ``run_sequence``, and a frame that fails stops the
-run at its own turn. bench therefore times the loop that segment ships,
-decodes included and writes excluded.
-
-The eval command shards frames across a thread pool (confusion matrices
-merge exactly, so the result is order-independent); CWSEG_THREADS caps the
-worker count of that pool only.
+segment and bench share one frame loop, ``_run_frames``; eval shards frames
+across a thread pool (``_eval_worker_count``).
 """
 from __future__ import annotations
 
@@ -154,8 +140,11 @@ def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
     ``first`` is a one-element list holding frame 0, decoded; the loop pops
     it. One helper thread decodes frame k+1 and runs its stage 1 while this
     thread runs the rest of frame k and its ``emit``, then helps with the
-    stage-1 conv bands still open; it is never more than one frame ahead,
-    and it is joined before this returns or raises.
+    stage-1 conv bands still open (``tensor_ops.help_until``) instead of
+    idling; it is never more than one frame ahead, and it is joined before
+    this returns or raises. Masks and score maps are the same bytes as in
+    the serial ``run_sequence``, and a frame that fails raises at its own
+    turn, after every earlier frame's ``emit``.
     """
     state = None
     with ThreadPoolExecutor(max_workers=1) as helper:
@@ -193,20 +182,23 @@ def cmd_segment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    traces = []
+    # Written after the last frame: a run that stops partway leaves no trace.
     trace_path = out_dir / "trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as trace_file:
-        def emit(index, mask, trace, scores):
-            stem = frames[index].stem
-            write_mask(mask, palette, out_dir / f"{stem}.ppm")
-            if args.save_scores:
-                write_weights({"scores": scores},
-                              out_dir / f"{stem}.scores.cwf")
-            traces.append(trace)
-            trace_file.write(
-                json.dumps(_trace_record(trace, frames[index])) + "\n")
+    trace_path.unlink(missing_ok=True)
+    traces = []
 
-        _run_frames(net, schedule, policy, frames, first, emit)
+    def emit(index, mask, trace, scores):
+        stem = frames[index].stem
+        write_mask(mask, palette, out_dir / f"{stem}.ppm")
+        if args.save_scores:
+            write_weights({"scores": scores}, out_dir / f"{stem}.scores.cwf")
+        traces.append(trace)
+
+    _run_frames(net, schedule, policy, frames, first, emit)
+    trace_path.write_text(
+        "".join(json.dumps(_trace_record(t, frames[t.frame_index])) + "\n"
+                for t in traces),
+        encoding="utf-8")
 
     summary = {
         "frames": len(frames),
@@ -219,16 +211,13 @@ def cmd_segment(args) -> int:
 
 
 def _eval_worker_count() -> int:
-    env = os.environ.get("CWSEG_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ContractError(f"CWSEG_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ContractError(f"CWSEG_THREADS must be >= 1, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
+    """eval's pool size: min(4, the CPUs this process may run on). Confusion
+    matrices merge exactly, so the result is the same at any size."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
 
 
 def cmd_eval(args) -> int:

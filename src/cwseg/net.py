@@ -115,19 +115,6 @@ class StagedNet:
     layers: dict[str, ConvParams]
 
 
-@dataclass(frozen=True)
-class StageOutputs:
-    """Everything a full forward pass produces, including the intermediates
-    the scheduler persists across frames."""
-
-    pool3_features: Tensor
-    score_pool3: Tensor
-    pool4_features: Tensor
-    score_pool4: Tensor
-    score_fr: Tensor
-    final_scores: Tensor
-
-
 class WorkCounter:
     """The record of one frame's work: convolution invocations and
     multiply-accumulate counts per layer, and wall seconds per stage part.
@@ -282,22 +269,6 @@ def fuse_and_upsample(net, score_fr: Tensor, score_pool4: Tensor,
     u = upsample_bilinear(u, 2)
     u = add(u, crop_center(score_pool3, u.shape[1], u.shape[2]))
     return upsample_bilinear(u, 8)
-
-
-def full_forward(net, frame: Tensor, work: WorkCounter | None = None) -> StageOutputs:
-    """Run all three stages plus fusion; returns every intermediate."""
-    pool3, score3 = run_stage1(net, frame, work)
-    pool4, score4 = run_stage2(net, pool3, work)
-    score_fr = run_stage3(net, pool4, work)
-    final = fuse_and_upsample(net, score_fr, score4, score3)
-    return StageOutputs(
-        pool3_features=pool3,
-        score_pool3=score3,
-        pool4_features=pool4,
-        score_pool4=score4,
-        score_fr=score_fr,
-        final_scores=final,
-    )
 
 
 def argmax_mask(final_scores: Tensor) -> np.ndarray:

@@ -21,15 +21,7 @@ score_pool4/score_pool3 (score_pool3 is always fresh). ``prev_score`` and the
 cached final scores are only refreshed when stage 3 actually fires, so the
 change signal always measures drift since the last deep computation.
 
-Stage 1 holds no state across frames, so it can run ahead of the frame
-loop: :func:`step` accepts stage 1 already run (``_time_stage1``) in place
-of the frame. The CLI's frame loop, which ``segment`` and ``bench`` share,
-runs it for frame k+1 on a helper thread while ``step`` finishes frame k.
-:func:`run_sequence` stays serial; it is the reference.
-
-Each frame's :class:`WorkCounter` is its record: ``_time_stage1`` creates
-it and ``step`` runs every later part through it, so it holds the frame's
-convolutions, MACs and per-part seconds, and the trace is read from it.
+``_time_stage1`` and ``step`` give how stage 1 runs ahead and is recorded.
 """
 from __future__ import annotations
 
@@ -244,7 +236,8 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
 def run_sequence(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
                  frames: Sequence[Tensor],
                  ) -> tuple[list[np.ndarray], list[StageTrace]]:
-    """Fold :func:`step` over a frame sequence from empty state."""
+    """Fold :func:`step` over a frame sequence from empty state, serially:
+    the reference for the CLI's pipelined frame loop."""
     if len(frames) == 0:
         raise ContractError("cannot run an empty sequence")
     masks: list[np.ndarray] = []

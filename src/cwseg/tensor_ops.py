@@ -9,28 +9,7 @@ freely across threads. Tensors are checked where they enter the package
 (frames, weight stores, ``conv2d`` and ``maxpool2d``); the elementwise
 kernels check only that their shapes agree.
 
-``conv2d`` lowers each convolution to a float64 im2col matrix times the
-float64 weights. ``ConvParams`` rounds the weights to float32 and holds them
-as float64 once, so every call multiplies by views of the same read-only
-arrays and no call casts them again. ``conv2d`` builds that matrix one band
-of output rows at a time, so the column buffer stays near
-``IM2COL_BAND_BYTES`` and in cache, instead of holding every output pixel at
-once; layers with large weights get bands of up to half their float64
-weight bytes. Each band pads only the input rows it reads, in a small
-zeroed buffer. Banding splits only the output pixels;
-each output value is still one dot product over the full kernel volume, so
-results are bit-identical to the unbanded product. ``maxpool2d`` folds the
-window's strided slices together with elementwise maximum, which is exact.
-
-Bands are the unit of sharing between threads. Each ``conv2d`` call posts
-its bands on a module-level board and works through them itself; a thread
-that would otherwise wait on another thread's result calls ``help_until``
-and runs bands of whatever call is open. Bands are claimed one at a time,
-so whoever is free takes the next. Every thread runs its bands in buffers
-of its own, allocated per call, and the band layout depends only on the
-layer and the input shape, so each band's GEMM has the same shape and
-operands on any thread and the output bits cannot depend on who helped.
-A call with nobody helping runs exactly as a serial loop over its bands.
+``conv2d``'s docstring gives the banding and thread-sharing rules.
 """
 from __future__ import annotations
 

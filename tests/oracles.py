@@ -2,16 +2,49 @@
 
 Everything in this file is deliberately written as plain loops over Python
 scalars: slow, obvious, and sharing no code with the vectorized
-implementations under test. The exceptions are ``average_precision_argsort``,
-``decode_gt_mask_int64`` and the ``*_joined`` writers, frozen copies of
-earlier implementations that their faster replacements must match bit for
-bit (or byte for byte).
+implementations under test. The exceptions are ``full_forward``, which
+runs the library's own stages once each with no schedule (the reference
+every scheduled run must match bit for bit), and
+``average_precision_argsort``, ``decode_gt_mask_int64`` and the ``*_joined``
+writers, frozen copies of earlier implementations that their faster
+replacements must match bit for bit (or byte for byte).
 """
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from cwseg import fuse_and_upsample, run_stage1, run_stage2, run_stage3
 from cwseg.errors import FileFormatError, ShapeError
+
+
+@dataclass(frozen=True)
+class StageOutputs:
+    """Everything a full forward pass produces, including the intermediates
+    the scheduler persists across frames."""
+
+    pool3_features: np.ndarray
+    score_pool3: np.ndarray
+    pool4_features: np.ndarray
+    score_pool4: np.ndarray
+    score_fr: np.ndarray
+    final_scores: np.ndarray
+
+
+def full_forward(net, frame, work=None):
+    """Run all three stages plus fusion; returns every intermediate."""
+    pool3, score3 = run_stage1(net, frame, work)
+    pool4, score4 = run_stage2(net, pool3, work)
+    score_fr = run_stage3(net, pool4, work)
+    final = fuse_and_upsample(net, score_fr, score4, score3)
+    return StageOutputs(
+        pool3_features=pool3,
+        score_pool3=score3,
+        pool4_features=pool4,
+        score_pool4=score4,
+        score_fr=score_fr,
+        final_scores=final,
+    )
 
 
 def conv2d_oracle(x, weights, bias, stride=1, pad=0):

@@ -25,7 +25,6 @@ from cwseg import (
     argmax_mask,
     average_precision,
     decode_gt_mask,
-    full_forward,
     mean_abs_diff,
     read_image,
     read_pnm,
@@ -35,7 +34,11 @@ from cwseg import (
     write_pnm,
     write_weights,
 )
-from oracles import average_precision_oracle, segmentation_metrics_oracle
+from oracles import (
+    average_precision_oracle,
+    full_forward,
+    segmentation_metrics_oracle,
+)
 
 BOTH_POLICIES = (SkipPolicy.FUSE_CACHED_DEEP, SkipPolicy.REUSE_FINAL)
 

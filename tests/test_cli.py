@@ -6,18 +6,16 @@ import sys
 import numpy as np
 import pytest
 
+import cwseg.cli as cli
 from cwseg import read_weights, write_image, write_weights
 from testutil import assert_elapsed_rule, fixed_sequence, make_frame, random_frames
 
 CMD = [sys.executable, "-m", "cwseg"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
-        CMD + [str(a) for a in args], capture_output=True, text=True, env=env
+        CMD + [str(a) for a in args], capture_output=True, text=True
     )
 
 
@@ -175,12 +173,13 @@ def test_segment_scores_feed_eval(tmp_path, weights_file):
     assert 0.0 <= report["acc"] <= 1.0
 
 
-def test_eval_thread_count_does_not_change_result(tmp_path, weights_file):
+def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
+                                                  monkeypatch, weights_file):
     frames = random_frames(5, 4)
     manifest = write_frames(tmp_path, frames)
     out = tmp_path / "out"
-    assert run_cli("segment", manifest, "--weights", weights_file,
-                   "--out", out, "--save-scores").returncode == 0
+    assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
+                     "--out", str(out), "--save-scores"]) == 0
     from cwseg import DEFAULT_PALETTE, decode_gt_mask, read_image
 
     masks = [decode_gt_mask(read_image(out / f"frame{i:03d}.ppm"),
@@ -188,12 +187,31 @@ def test_eval_thread_count_does_not_change_result(tmp_path, weights_file):
     # perturb one mask so the metrics are not all trivially 1.0
     masks[1] = 1 - masks[1]
     manifest2 = write_frames(tmp_path, frames, gt_masks=masks)
-    one = run_cli("eval", out, manifest2, "--scores-dir", out,
-                  env_extra={"CWSEG_THREADS": "1"})
-    four = run_cli("eval", out, manifest2, "--scores-dir", out,
-                   env_extra={"CWSEG_THREADS": "4"})
-    assert one.returncode == four.returncode == 0
-    assert one.stdout == four.stdout
+    reports = []
+    for workers in (1, 4):
+        monkeypatch.setattr(cli, "_eval_worker_count", lambda: workers)
+        capsys.readouterr()
+        assert cli.main(["eval", str(out), str(manifest2),
+                         "--scores-dir", str(out)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (8, 4)])
+def test_eval_pool_size_is_min_of_4_and_usable_cpus(monkeypatch, cpus,
+                                                    workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._eval_worker_count() == workers
+
+
+def test_eval_pool_size_without_affinity_counts_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._eval_worker_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._eval_worker_count() == 1
 
 
 def test_eval_missing_prediction_names_frame(tmp_path, weights_file):
@@ -233,17 +251,6 @@ def test_contract_errors_exit_4(tmp_path, weights_file):
     manifest = write_frames(tmp_path, frames)
     proc = run_cli("segment", manifest, "--weights", weights_file,
                    "--out", tmp_path / "o")
-    assert proc.returncode == 4
-
-    # bad CWSEG_THREADS value
-    frames32 = random_frames(8, 1)
-    gt = [np.zeros((32, 32), dtype=np.int64)]
-    manifest2 = write_frames(tmp_path / "sub" if False else tmp_path, frames32,
-                             gt_masks=gt)
-    out = tmp_path / "o2"
-    assert run_cli("segment", manifest2, "--weights", weights_file,
-                   "--out", out).returncode == 0
-    proc = run_cli("eval", out, manifest2, env_extra={"CWSEG_THREADS": "zero"})
     assert proc.returncode == 4
 
 

@@ -15,7 +15,6 @@ from cwseg import (
     WorkCounter,
     argmax_mask,
     build_net,
-    full_forward,
     fuse_and_upsample,
     gen_weights,
     layer_specs,
@@ -24,6 +23,7 @@ from cwseg import (
     run_stage3,
     upsample_bilinear,
 )
+from oracles import full_forward
 from testutil import make_frame, seed42_net, tiny_net
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_seed42.json"

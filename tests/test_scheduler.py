@@ -14,13 +14,13 @@ from cwseg import (
     SkipPolicy,
     StageId,
     argmax_mask,
-    full_forward,
     mean_abs_diff,
     run_sequence,
     should_fire,
     step,
 )
 from cwseg.scheduler import _time_stage1
+from oracles import full_forward
 from testutil import (
     assert_elapsed_rule,
     fixed_sequence,

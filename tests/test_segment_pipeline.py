@@ -20,7 +20,6 @@ from cwseg import (
     SkipPolicy,
     StageId,
     build_net,
-    full_forward,
     gen_weights,
     mean_abs_diff,
     read_image,
@@ -30,6 +29,7 @@ from cwseg import (
     write_mask,
     write_weights,
 )
+from oracles import full_forward
 from testutil import make_frame, random_frames
 
 CFG = NetConfig(in_channels=3, num_classes=2, base_width=2, height=32, width=32)
@@ -122,7 +122,10 @@ def test_segment_matches_serial_run_sequence(tmp_path, capsys, weights,
         assert (out / path.name).read_bytes() == want.read_bytes()
         scores = read_weights(out / f"{path.stem}.scores.cwf")["scores"]
         assert np.array_equal(np.argmax(scores, axis=0), mask)
+        assert rec["frame"] == str(path)
         assert rec["fired"] == sorted(int(s) for s in trace.fired)
+        assert rec["change"] == trace.change
+        assert rec["convs"] == trace.convs
         assert rec["macs"] == trace.macs
 
 
@@ -175,6 +178,9 @@ def test_corrupt_frame_exits_3_with_earlier_masks_only(tmp_path, capsys,
                                                        weights, command, bad):
     manifest, paths = write_sequence(tmp_path, random_frames(402, 6))
     paths[bad].write_bytes(b"P6\n32 32\n255\n" + b"\x00" * 10)
+    # A complete-looking trace from an earlier run must not survive.
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "trace.jsonl").write_text('{"frame_index": 0}\n')
     threads = threading.active_count()
     assert cli.main(loop_argv(command, manifest, weights, tmp_path)) == 3
     err = capsys.readouterr().err
@@ -183,6 +189,7 @@ def test_corrupt_frame_exits_3_with_earlier_masks_only(tmp_path, capsys,
     if command == "segment":
         written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
         assert written == [p.name for p in paths[:bad]]
+        assert not (tmp_path / "out" / "trace.jsonl").exists()
 
 
 @pytest.mark.parametrize("bad", [1, 3])
@@ -197,6 +204,7 @@ def test_frame_of_another_size_exits_4(tmp_path, capsys, weights, bad):
     assert threading.active_count() == threads
     written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
     assert written == [p.name for p in paths[:bad]]
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -238,6 +246,7 @@ def test_stage1_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys,
     assert threading.active_count() == threads
     written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
     assert written == [p.name for p in paths[:bad]]
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["segment", "bench"])
