@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +34,12 @@ from .media_io import (
     write_mask,
     write_weights,
 )
-from .metrics import ConfusionMatrix, build_report
+from .metrics import (
+    ConfusionMatrix,
+    build_report,
+    pooled_average_precision,
+    split_scores,
+)
 from .net import NetConfig, StagedNet, StageId, build_net
 from .scheduler import (
     Adaptive,
@@ -235,9 +241,6 @@ def cmd_eval(args) -> int:
         )
     pred_dir = Path(args.pred_dir)
     scores_dir = Path(args.scores_dir) if args.scores_dir else None
-    # Labels pooled for average_precision take one byte each for up to
-    # 256 classes.
-    label_dtype = np.min_scalar_type(num_classes - 1)
 
     def eval_frame(pair):
         frame_path, truth_path = pair
@@ -250,12 +253,17 @@ def cmd_eval(args) -> int:
         pred = decode_gt_mask(read_image(pred_path), palette)
         cm = ConfusionMatrix(num_classes).add(truth, pred)
         if scores_dir is None:
-            return cm, None, None
+            return cm, None
         scores_path = scores_dir / f"{frame_path.stem}.scores.cwf"
         if not scores_path.exists():
             raise FileFormatError(
                 f"missing scores for frame '{frame_path.stem}': {scores_path}"
             )
+        # The kept score buffers are allocated before the file is read, so
+        # they do not interleave with freed file buffers in the heap.
+        positive = truth.ravel() == args.positive_class
+        n_pos = int(np.count_nonzero(positive))
+        kept = (np.empty(n_pos, "<f4"), np.empty(positive.size - n_pos, "<f4"))
         store = read_weights(scores_path)
         if "scores" not in store:
             raise FileFormatError(f"{scores_path}: no 'scores' entry")
@@ -270,27 +278,21 @@ def cmd_eval(args) -> int:
                 f"{scores_path}: scores spatial shape {chw.shape[1:]} != "
                 f"truth shape {truth.shape}"
             )
-        # Copies, so the pool holds neither the whole score map nor the
-        # int64 labels of any frame.
-        return (cm, chw[args.positive_class].ravel().copy(),
-                truth.ravel().astype(label_dtype))
+        return cm, split_scores(chw[args.positive_class].ravel(), positive,
+                                kept)
 
     pairs = list(zip(manifest.frames, manifest.truths))
+    avg_precision = None
     with ThreadPoolExecutor(max_workers=_eval_worker_count()) as pool:
         results = list(pool.map(eval_frame, pairs))
+        total_cm = sum((cm for cm, _ in results), ConfusionMatrix(num_classes))
+        splits = [split for _, split in results]
+        del results  # the combine frees each frame's split as it pools them
+        if scores_dir is not None:
+            avg_precision = pooled_average_precision(splits, pool.map)
 
-    total_cm = ConfusionMatrix(num_classes)
-    for cm, _, _ in results:
-        total_cm = total_cm + cm
-    pooled_scores = pooled_truth = None
-    if scores_dir is not None:
-        pooled_scores = np.concatenate([r[1] for r in results])
-        pooled_truth = np.concatenate([r[2] for r in results])
-
-    report = build_report(
-        total_cm, positive_class=args.positive_class,
-        scores=pooled_scores, truth=pooled_truth,
-    )
+    report = replace(build_report(total_cm, positive_class=args.positive_class),
+                     avg_precision=avg_precision)
     text = json.dumps(report.to_dict(), indent=2)
     print(text)
     if args.out:

@@ -169,14 +169,18 @@ def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) ->
     if img.shape[0] != 3:
         raise ShapeError(f"mask image must be RGB (3 channels), got {img.shape[0]}")
     # Rounded float32 channels compare exactly with the integer palette.
-    rgb = np.rint(img * np.float32(255.0))
-    h, w = rgb.shape[1], rgb.shape[2]
-    labels = np.full((h, w), -1, dtype=np.int64)
-    for idx, (r, g, b) in enumerate(palette):
+    rgb = img * np.float32(255.0)
+    np.rint(rgb, out=rgb)
+    # One plus the index of each pixel's colour, 0 where none matches. The
+    # running maximum keeps the last match without a masked (branching) write.
+    code = np.zeros(rgb.shape[1:], dtype=np.min_scalar_type(len(palette)))
+    for one_based, (r, g, b) in enumerate(palette, start=1):
         hit = (rgb[0] == r) & (rgb[1] == g) & (rgb[2] == b)
-        labels[hit] = idx
-    if (labels < 0).any():
-        row, col = map(int, np.argwhere(labels < 0)[0])
+        np.maximum(code, np.multiply(hit, one_based, dtype=code.dtype),
+                   out=code)
+    unknown = code == 0
+    if unknown.any():
+        row, col = map(int, np.argwhere(unknown)[0])
         # A NaN or infinite channel has no integer value; name it as is.
         color = tuple(int(v) if math.isfinite(v) else float(v)
                       for v in rgb[:, row, col])
@@ -184,7 +188,7 @@ def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) ->
             f"mask pixel at row {row}, col {col} has color {color} "
             f"which is not in the palette"
         )
-    return labels
+    return np.subtract(code, 1, dtype=np.int64)
 
 
 def write_mask(mask: np.ndarray, palette: Sequence[Color], path) -> None:

@@ -6,18 +6,15 @@ All values are fractions in [0, 1]; rendering as percentages is the
 caller's business. Classes absent from both truth and prediction are
 skipped when averaging, not counted as zeros.
 
-Average precision sorts the positive and the negative pixels' scores apart
-(float32 stays float32) and evaluates precision and recall only at the
-distinct positive scores, counting the pixels at or above each one through
-a stable merge of the two sorted runs. Each precision is the same float64
-division of the same two counts as in a sweep over every threshold, so the
-result is exact. NaN scores rank below every number, one threshold per NaN
-pixel in pixel order.
+Average precision is computed from shards of pixels, such as frames:
+``split_scores`` splits each shard, which a worker pool can do, and
+``pooled_average_precision`` combines the shards on every worker of that
+pool, with the same bits as a sweep over every threshold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,6 +163,32 @@ class BinaryStats:
     degenerate: tuple[str, ...] = ()
 
 
+class ScoreSplit(NamedTuple):
+    """One shard of pixels (a frame, say) split for average precision.
+
+    ``positive`` and ``negative`` hold the scores of the shard's positive and
+    negative pixels, NaN scores included; ``nan_positive`` flags which of the
+    shard's NaN pixels are positive, in pixel order.
+    """
+
+    positive: np.ndarray
+    negative: np.ndarray
+    nan_positive: np.ndarray
+
+
+def split_scores(scores: np.ndarray, positive: np.ndarray,
+                 out: tuple = (None, None)) -> ScoreSplit:
+    """Split flat ``scores`` by the flat boolean mask ``positive``.
+
+    ``out`` may hold the two score buffers, sized to the positive and the
+    negative pixel counts, so that a caller can allocate them before it
+    reads the scores.
+    """
+    return ScoreSplit(np.compress(positive, scores, out=out[0]),
+                      np.compress(~positive, scores, out=out[1]),
+                      positive[np.isnan(scores)])
+
+
 def average_precision(scores: np.ndarray, truth: np.ndarray,
                       positive_class: int = 1) -> float:
     """11-point interpolated average precision of the positive class.
@@ -179,16 +202,9 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
     number, and each NaN pixel is a threshold of its own, taken in pixel
     order: the j-th NaN pixel adds itself and the j - 1 NaN pixels before it.
 
-    Float32 scores are sorted as float32, which orders and ties them as
-    float64 would; any other dtype is converted to float64. The positive and
-    the negative scores are sorted apart, and precision and recall are
-    computed only at the distinct positive scores and the positive NaN
-    pixels: a threshold whose tie group holds only negatives has the recall
-    of the group above it and no higher precision, so it is never a recall
-    level's maximum. At a positive score u, tp counts the positives >= u and
-    k all pixels >= u, read off a stable merge of the two sorted runs with
-    positives first on ties; precision is tp / k in float64, as in a sweep
-    over every threshold, so the result is exact.
+    Float32 scores are kept as float32, which orders and ties them as
+    float64 would; any other dtype is converted to float64. This is
+    ``pooled_average_precision`` of the one shard ``split_scores`` makes.
     """
     s = np.asarray(scores)
     if s.dtype != np.float32:
@@ -200,47 +216,107 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
             f"scores shape {np.asarray(scores).shape} != "
             f"truth shape {np.asarray(truth).shape}"
         )
-    positive = (t == positive_class)
-    n_pos = int(np.count_nonzero(positive))
+    return pooled_average_precision([split_scores(s, t == positive_class)])
+
+
+# Pixels per merge range: a range's sort indices stay in cache, and ranges
+# run on every worker of the caller's pool.
+_MERGE_RANGE = 1 << 18
+
+_RECALL_LEVELS = np.arange(11) / 10.0
+
+
+def pooled_average_precision(splits: list, pool_map=map) -> float:
+    """Average precision (see :func:`average_precision`) of the pixels of
+    every ``ScoreSplit`` in ``splits``, pooled in order.
+
+    ``splits`` is emptied, so each shard's arrays are freed once they are
+    pooled. ``pool_map`` runs the independent tasks: the two sorts, then one
+    task per merge range; a thread pool's ``map`` runs them on its workers.
+    Every count is an exact integer and every precision the same float64
+    division, so the result is the same bits whatever the shards, the ranges
+    and the map.
+
+    The positive and the negative scores are sorted apart and merged,
+    stably with positives first on ties. Every positive gives a point: tp,
+    the positives from it up, and k, all pixels from it up. At the first
+    positive of a tie group these are the counts of the threshold at its
+    score, and each positive NaN pixel gives its threshold's counts, in
+    pixel order below every number. The other points never raise a recall
+    level's maximum: a later positive of a tie group has tp and k smaller by
+    the same d, so a lower recall and a precision (tp - d) / (k - d) <=
+    tp / k, and a threshold whose tie group holds only negatives has the
+    recall of the group above it and no higher precision. The merge is cut
+    into ranges of the merged order; each range gives its maximum precision
+    per recall level, and the largest over the ranges is the level's value.
+    """
+    n_pos = sum(s.positive.size for s in splits)
     if n_pos == 0:
         raise ValueError(
             "average precision is undefined: no positive pixels in truth"
         )
-    nan_pixels = np.flatnonzero(np.isnan(s))
-    nan_positive = positive[nan_pixels]
+    n_neg = sum(s.negative.size for s in splits)
+    nan_positive = np.concatenate([s.nan_positive for s in splits])
+    runs = ([s.positive for s in splits], [s.negative for s in splits])
+    splits.clear()
+    pos, neg = pool_map(_sorted_run, runs)
     # np.sort places NaNs last; p and n count the numbers each run keeps.
     nan_pos = int(np.count_nonzero(nan_positive))
     p = n_pos - nan_pos
-    n = s.size - n_pos - (nan_pixels.size - nan_pos)
-    pos = np.compress(positive, s)
-    pos.sort()
-    pos = pos[:p]
-    neg = np.compress(~positive, s)
-    neg.sort()
-    neg = neg[:n]
-    # Rank of each positive in the merged ascending order; from the first
-    # positive of a tie group on, every pixel is >= its score.
-    rank = np.flatnonzero(
-        np.argsort(np.concatenate((pos, neg)), kind="stable") < p)
-    group_start = np.ones(p, dtype=bool)
-    group_start[1:] = pos[1:] != pos[:-1]
-    first = np.flatnonzero(group_start)[::-1]
-    # Thresholds in order of rising tp: positive tie groups from the
-    # highest score down, then each positive NaN pixel.
-    nan_rank = np.flatnonzero(nan_positive) + 1
-    tp = np.concatenate((p - first, p + np.arange(1, nan_rank.size + 1)),
-                        dtype=np.float64)
-    k = np.concatenate((p + n - rank[first], p + n + nan_rank),
-                       dtype=np.float64)
-    precisions = tp / k
-    recalls = tp / n_pos
-    # Recall rises along the thresholds and the last one reaches 1.0, so
-    # the thresholds with recall >= r are a nonempty suffix.
+    n = n_neg - (nan_positive.size - nan_pos)
+    pos, neg = pos[:p], neg[:n]
+    cuts = [_merge_cut(pos, neg, t) for t in range(0, p + n, _MERGE_RANGE)]
+    cuts.append((p, n))
+
+    def range_maxima(j):
+        (m0, c0), (m1, c1) = cuts[j], cuts[j + 1]
+        # Rank of each positive in the range's merged ascending order.
+        rank = np.flatnonzero(np.argsort(
+            np.concatenate((pos[m0:m1], neg[c0:c1])), kind="stable") < m1 - m0)
+        return _level_maxima(np.arange(p - m0, p - m1, -1),
+                             p + n - m0 - c0 - rank, n_pos)
+
+    maxima = list(pool_map(range_maxima, range(len(cuts) - 1)))
+    # Each positive NaN pixel is a threshold below every number.
+    nan_rank = np.flatnonzero(nan_positive)[::-1] + 1
+    maxima.append(_level_maxima(np.arange(p + nan_rank.size, p, -1),
+                                p + n + nan_rank, n_pos))
     total = 0.0
-    for i in range(11):
-        level = i / 10.0
-        total += float(precisions[np.searchsorted(recalls, level):].max())
+    for level_max in np.max(maxima, axis=0):
+        total += float(level_max)
     return total / 11.0
+
+
+def _sorted_run(parts: list) -> np.ndarray:
+    """Concatenate ``parts``, empty the list and sort the run in place."""
+    run = np.concatenate(parts)
+    parts.clear()
+    run.sort()
+    return run
+
+
+def _merge_cut(pos: np.ndarray, neg: np.ndarray, t: int) -> tuple[int, int]:
+    """(m, t - m): the first t pixels of the stable merge of the sorted runs
+    ``pos`` and ``neg``, positives first on ties, are pos[:m] and neg[:t - m].
+    """
+    lo, hi = max(0, t - neg.size), min(t, pos.size)
+    while lo < hi:
+        m = (lo + hi + 1) // 2
+        # pos[m - 1] precedes neg[t - m] exactly when it is not greater.
+        if pos[m - 1] <= neg[t - m]:
+            lo = m
+        else:
+            hi = m - 1
+    return lo, t - lo
+
+
+def _level_maxima(tp: np.ndarray, k: np.ndarray, n_pos: int) -> np.ndarray:
+    """Per recall level, the maximum precision tp / k over the points whose
+    recall tp / n_pos reaches it, or -inf where none does; tp falls along
+    the arrays, and every ratio is one float64 division of integer counts."""
+    precision = tp / k
+    reached = tp.size - np.searchsorted(tp[::-1] / n_pos, _RECALL_LEVELS)
+    return np.array([precision[:r].max() if r else -np.inf for r in reached])
 
 
 @dataclass(frozen=True)

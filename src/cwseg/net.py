@@ -104,9 +104,6 @@ def layer_specs(cfg: NetConfig) -> tuple[LayerSpec, ...]:
     )
 
 
-LAYER_STAGE: dict[str, StageId] = {s.name: s.stage for s in layer_specs(NetConfig())}
-
-
 @dataclass(frozen=True)
 class StagedNet:
     """Validated, immutable network: config plus per-layer parameters."""
@@ -120,17 +117,20 @@ class WorkCounter:
     multiply-accumulate counts per layer, and wall seconds per stage part.
 
     Conv keys are layer names; aggregate per stage via ``stage_convs`` /
-    ``stage_macs``. Counting happens at the conv2d call sites, so totals
-    reflect work actually executed. ``seconds`` has a key only for each part
-    run through :meth:`timed` ("stage1", "stage2", "stage3", "fusion").
+    ``stage_macs``. Counting happens at the conv2d call sites, which also
+    name each layer's stage, so totals reflect work actually executed.
+    ``seconds`` has a key only for each part run through :meth:`timed`
+    ("stage1", "stage2", "stage3", "fusion").
     """
 
     def __init__(self):
         self.convs: dict[str, int] = {}
         self.macs: dict[str, int] = {}
         self.seconds: dict[str, float] = {}
+        self._stage: dict[str, str] = {}
 
-    def record(self, layer: str, macs: int) -> None:
+    def record(self, layer: str, stage: StageId, macs: int) -> None:
+        self._stage[layer] = stage.label
         self.convs[layer] = self.convs.get(layer, 0) + 1
         self.macs[layer] = self.macs.get(layer, 0) + macs
 
@@ -144,7 +144,7 @@ class WorkCounter:
     def _by_stage(self, per_layer: dict[str, int]) -> dict[str, int]:
         out: dict[str, int] = {}
         for name, n in per_layer.items():
-            label = LAYER_STAGE[name].label
+            label = self._stage[name]
             out[label] = out.get(label, 0) + n
         return out
 
@@ -192,18 +192,20 @@ def build_net(cfg: NetConfig, weights: dict[str, np.ndarray]) -> StagedNet:
     return StagedNet(cfg=cfg, layers=layers)
 
 
-def _conv(net: StagedNet, name: str, x: Tensor, work: Optional[WorkCounter]) -> Tensor:
+def _conv(net: StagedNet, stage: StageId, name: str, x: Tensor,
+          work: Optional[WorkCounter]) -> Tensor:
     p = net.layers[name]
     out = conv2d(x, p)
     if work is not None:
-        work.record(name, out.size * p.in_channels * p.kernel_h * p.kernel_w)
+        work.record(name, stage,
+                    out.size * p.in_channels * p.kernel_h * p.kernel_w)
     return out
 
 
-def _conv_relu(net: StagedNet, name: str, x: Tensor,
+def _conv_relu(net: StagedNet, stage: StageId, name: str, x: Tensor,
                work: Optional[WorkCounter]) -> Tensor:
     """Conv, then relu in place on its fresh output (no second map)."""
-    out = _conv(net, name, x, work)
+    out = _conv(net, stage, name, x, work)
     return relu(out, out=out)
 
 
@@ -224,9 +226,9 @@ def run_stage1(net, frame: Tensor, work: WorkCounter | None = None):
     x = _check_input(frame, cfg.in_channels, cfg.height, cfg.width, "frame")
     for pair in (("conv1_1", "conv1_2"), ("conv2_1", "conv2_2"), ("conv3_1", "conv3_2")):
         for name in pair:
-            x = _conv_relu(net, name, x, work)
+            x = _conv_relu(net, StageId.STAGE1, name, x, work)
         x = maxpool2d(x, 2, 2)
-    return x, _conv(net, "score_pool3", x, work)
+    return x, _conv(net, StageId.STAGE1, "score_pool3", x, work)
 
 
 def run_stage2(net, pool3_features: Tensor, work: WorkCounter | None = None):
@@ -237,9 +239,9 @@ def run_stage2(net, pool3_features: Tensor, work: WorkCounter | None = None):
         "pool3_features",
     )
     for name in ("conv4_1", "conv4_2"):
-        x = _conv_relu(net, name, x, work)
+        x = _conv_relu(net, StageId.STAGE2, name, x, work)
     x = maxpool2d(x, 2, 2)
-    return x, _conv(net, "score_pool4", x, work)
+    return x, _conv(net, StageId.STAGE2, "score_pool4", x, work)
 
 
 def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> Tensor:
@@ -249,10 +251,10 @@ def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> 
         pool4_features, 8 * cfg.base_width, cfg.height // 16, cfg.width // 16,
         "pool4_features",
     )
-    x = _conv_relu(net, "conv5_1", x, work)
-    x = _conv_relu(net, "conv5_2", x, work)
+    x = _conv_relu(net, StageId.STAGE3, "conv5_1", x, work)
+    x = _conv_relu(net, StageId.STAGE3, "conv5_2", x, work)
     x = maxpool2d(x, 2, 2)
-    return _conv(net, "score_fr", x, work)
+    return _conv(net, StageId.STAGE3, "score_fr", x, work)
 
 
 def fuse_and_upsample(net, score_fr: Tensor, score_pool4: Tensor,

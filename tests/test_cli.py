@@ -8,6 +8,7 @@ import pytest
 
 import cwseg.cli as cli
 from cwseg import read_weights, write_image, write_weights
+from oracles import average_precision_argsort
 from testutil import assert_elapsed_rule, fixed_sequence, make_frame, random_frames
 
 CMD = [sys.executable, "-m", "cwseg"]
@@ -187,6 +188,19 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
     # perturb one mask so the metrics are not all trivially 1.0
     masks[1] = 1 - masks[1]
     manifest2 = write_frames(tmp_path, frames, gt_masks=masks)
+    # NaN scores in two frames: frame 1 is mostly positive, frame 2 mostly
+    # negative.
+    rng = np.random.default_rng(5)
+    pooled = []
+    for i in range(4):
+        path = out / f"frame{i:03d}.scores.cwf"
+        scores = read_weights(path)["scores"].copy()
+        if i in (1, 2):
+            scores[1].flat[rng.choice(scores[1].size, 40, replace=False)] = np.nan
+            write_weights({"scores": scores}, path)
+        pooled.append(scores[1].ravel())
+    pooled_truth = np.concatenate([m.ravel() for m in masks])
+    want = average_precision_argsort(np.concatenate(pooled), pooled_truth)
     reports = []
     for workers in (1, 4):
         monkeypatch.setattr(cli, "_eval_worker_count", lambda: workers)
@@ -195,6 +209,25 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
                          "--scores-dir", str(out)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+    assert json.loads(reports[0])["avg_precision"] == want
+
+
+def test_eval_without_positive_pixels_exits_4(tmp_path):
+    from cwseg import DEFAULT_PALETTE, write_mask
+
+    frames = random_frames(8, 2)
+    masks = [np.zeros((32, 32), dtype=np.int64)] * 2
+    manifest = write_frames(tmp_path, frames, gt_masks=masks)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for i, mask in enumerate(masks):
+        write_mask(mask, DEFAULT_PALETTE, pred / f"frame{i:03d}.ppm")
+        write_weights({"scores": np.zeros((2, 32, 32), np.float32)},
+                      pred / f"frame{i:03d}.scores.cwf")
+    proc = run_cli("eval", pred, manifest, "--scores-dir", pred)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == ("error: average precision is undefined: "
+                           "no positive pixels in truth\n")
 
 
 @pytest.mark.parametrize("cpus, workers", [(1, 1), (8, 4)])

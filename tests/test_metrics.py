@@ -1,14 +1,19 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cwseg.metrics as metrics
 from cwseg import (
     ConfusionMatrix,
     ShapeError,
     average_precision,
     build_report,
 )
+from cwseg.metrics import pooled_average_precision, split_scores
 from oracles import (
     average_precision_argsort,
     average_precision_oracle,
@@ -296,6 +301,48 @@ def test_ap_equals_stable_argsort_version(case):
             == average_precision_argsort(scores, truth, positive_class))
 
 
+@pytest.fixture(scope="module")
+def pool_maps():
+    with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(4) as four:
+        yield {"builtin": map, "2 workers": two.map, "4 workers": four.map}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ap_cases(), data=st.data())
+def test_sharded_ap_equals_stable_argsort_version(pool_maps, case, data):
+    """Shards at random cuts (empty, without positives, NaN in several),
+    split with and without preallocated buffers and combined with merge
+    ranges of 1 to 8 pixels, so that range cuts fall inside tie groups;
+    every map gives the oracle's result on the concatenation."""
+    scores, truth, positive_class = case
+    want = average_precision_argsort(scores, truth, positive_class)
+    s = scores if scores.dtype == np.float32 else scores.astype(np.float64)
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, s.size),
+                                            max_size=4))), s.size]
+    preallocate = data.draw(st.booleans())
+    merge_range = data.draw(st.integers(1, 8))
+
+    def split(shard):
+        a, b = shard
+        positive = truth[a:b] == positive_class
+        n_pos = int(np.count_nonzero(positive))
+        out = (np.empty(n_pos, s.dtype), np.empty(b - a - n_pos, s.dtype))
+        return split_scores(s[a:b], positive, out if preallocate else
+                            (None, None))
+
+    old_interval, old_range = sys.getswitchinterval(), metrics._MERGE_RANGE
+    sys.setswitchinterval(1e-5)
+    metrics._MERGE_RANGE = merge_range
+    try:
+        for pool_map in pool_maps.values():
+            splits = list(pool_map(split, zip(bounds, bounds[1:])))
+            assert pooled_average_precision(splits, pool_map) == want
+            assert splits == []
+    finally:
+        metrics._MERGE_RANGE = old_range
+        sys.setswitchinterval(old_interval)
+
+
 @pytest.mark.parametrize("scores", [
     np.array([v], dtype=dtype)
     for dtype in (np.float32, np.float64)
@@ -329,6 +376,11 @@ def test_ap_full_size_eval_case():
     want = average_precision_argsort(scores, truth)
     assert average_precision(scores, truth) == want
     assert 0.5 < want < 1.0
+    # As eval pools it: 24 frame shards on two workers.
+    with ThreadPoolExecutor(2) as pool:
+        splits = [split_scores(s, t == 1) for s, t in
+                  zip(np.split(scores, 24), np.split(truth, 24))]
+        assert pooled_average_precision(splits, pool.map) == want
 
 
 def test_ap_shape_mismatch():
