@@ -1,6 +1,12 @@
 """Clockwork-scheduled fully convolutional video segmentation."""
 
-from .errors import ContractError, CwsegError, FileFormatError, ShapeError
+from .errors import (
+    ContractError,
+    CwsegError,
+    FileFormatError,
+    NumericError,
+    ShapeError,
+)
 from .tensor_ops import (
     ConvParams,
     Tensor,

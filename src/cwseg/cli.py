@@ -2,9 +2,11 @@
 evaluate predictions against ground truth, benchmark schedules, and generate
 deterministic test weights.
 
-Exit codes: 0 success, 2 usage errors, 3 file/format errors, 4 contract or
-shape errors. Reports are plain JSON on stdout; the segment command also
-writes one palette mask per frame plus a line-delimited JSON trace file.
+Exit codes: 0 success, 2 usage errors, 3 file/format errors, 4 contract,
+shape or numeric errors (every other ``CwsegError``); any other exception is
+a defect and escapes with its traceback. Reports are plain JSON on stdout;
+the segment command also writes one palette mask per frame plus a
+line-delimited JSON trace file.
 segment and bench share one frame loop, ``_run_frames``; eval shards frames
 across a thread pool (``_eval_worker_count``).
 """
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, FileFormatError, ShapeError
+from .errors import ContractError, CwsegError, FileFormatError, ShapeError
 from .media_io import (
     DEFAULT_PALETTE,
     decode_gt_mask,
@@ -447,7 +449,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ShapeError, ContractError, ValueError) as exc:
+    except CwsegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

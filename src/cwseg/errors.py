@@ -15,3 +15,10 @@ class ContractError(CwsegError):
 
 class FileFormatError(CwsegError):
     """A file does not conform to one of the package's on-disk formats."""
+
+
+class NumericError(CwsegError, ValueError):
+    """An argument's value is outside what an operation is defined on (a
+    label, count, class or factor out of range, no pixels, one of two
+    arguments that go together), or an operation produced non-finite
+    values."""

@@ -8,17 +8,20 @@ skipped when averaging, not counted as zeros.
 
 Average precision is computed from shards of pixels, such as frames:
 ``split_scores`` splits each shard, which a worker pool can do, and
-``pooled_average_precision`` combines the shards on every worker of that
-pool, with the same bits as a sweep over every threshold.
+``pooled_average_precision`` sorts the pooled positive and negative scores
+as two tasks of that pool, then computes precision only in the blocks of
+positives where it can set a recall level's maximum, with the same bits as
+a sweep over every threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 
 class ConfusionMatrix:
@@ -42,7 +45,8 @@ class ConfusionMatrix:
                     f"{num_classes} classes"
                 )
             if (c < 0).any():
-                raise ValueError("confusion matrix counts must be nonnegative")
+                raise NumericError(
+                    "confusion matrix counts must be nonnegative")
             self.counts = c.copy()
 
     def add(self, truth: np.ndarray, pred: np.ndarray) -> "ConfusionMatrix":
@@ -55,15 +59,19 @@ class ConfusionMatrix:
                 f"pred shape {np.asarray(pred).shape}"
             )
         n = self.num_classes
-        for name, a in (("truth", t), ("pred", p)):
-            if a.size and (a.min() < 0 or a.max() >= n):
-                raise ValueError(
-                    f"{name} labels must lie in [0, {n}), got range "
-                    f"[{a.min()}, {a.max()}]"
-                )
-        self.counts += np.bincount(
-            t.astype(np.int64) * n + p.astype(np.int64), minlength=n * n
-        ).reshape(n, n)
+        # One test over both arrays. A label out of range or a NaN fails it,
+        # and the test per array then names the array out of range, if any.
+        if t.size and not (0 <= min(t.min(), p.min())
+                           and max(t.max(), p.max()) < n):
+            for name, a in (("truth", t), ("pred", p)):
+                if a.min() < 0 or a.max() >= n:
+                    raise NumericError(
+                        f"{name} labels must lie in [0, {n}), got range "
+                        f"[{a.min()}, {a.max()}]"
+                    )
+        bins = t.astype(np.int64, copy=False) * n
+        np.add(bins, p.astype(np.int64, copy=False), out=bins)
+        self.counts += np.bincount(bins, minlength=n * n).reshape(n, n)
         return self
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
@@ -79,7 +87,8 @@ class ConfusionMatrix:
 
     def _require_pixels(self) -> None:
         if self.total() == 0:
-            raise ValueError("metrics are undefined on an empty confusion matrix")
+            raise NumericError(
+                "metrics are undefined on an empty confusion matrix")
 
     def pixel_accuracy(self) -> float:
         self._require_pixels()
@@ -128,7 +137,7 @@ class ConfusionMatrix:
         Empty denominators yield 0.0 and the stat's name in ``degenerate``.
         """
         if not 0 <= positive_class < self.num_classes:
-            raise ValueError(
+            raise NumericError(
                 f"positive_class {positive_class} out of range "
                 f"[0, {self.num_classes})"
             )
@@ -219,9 +228,9 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
     return pooled_average_precision([split_scores(s, t == positive_class)])
 
 
-# Pixels per merge range: a range's sort indices stay in cache, and ranges
-# run on every worker of the caller's pool.
-_MERGE_RANGE = 1 << 18
+# Positives per block: a block evaluated point by point searches a slice of
+# the negatives that stays in cache.
+_AP_BLOCK = 1 << 12
 
 _RECALL_LEVELS = np.arange(11) / 10.0
 
@@ -231,28 +240,35 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     every ``ScoreSplit`` in ``splits``, pooled in order.
 
     ``splits`` is emptied, so each shard's arrays are freed once they are
-    pooled. ``pool_map`` runs the independent tasks: the two sorts, then one
-    task per merge range; a thread pool's ``map`` runs them on its workers.
-    Every count is an exact integer and every precision the same float64
-    division, so the result is the same bits whatever the shards, the ranges
-    and the map.
+    pooled. ``pool_map`` runs the two sorts, of the positive and of the
+    negative scores, as independent tasks; a thread pool's ``map`` runs them
+    on two workers. Every count is an exact integer and every precision the
+    same float64 division, so the result is the same bits whatever the
+    shards and the map.
 
-    The positive and the negative scores are sorted apart and merged,
-    stably with positives first on ties. Every positive gives a point: tp,
-    the positives from it up, and k, all pixels from it up. At the first
-    positive of a tie group these are the counts of the threshold at its
-    score, and each positive NaN pixel gives its threshold's counts, in
+    Every positive gives a point: tp, the positives from it up, and k, all
+    pixels from it up, counting the negatives that tie with it. At the
+    first positive of a tie group these are the counts of the threshold at
+    its score, and each positive NaN pixel gives its threshold's counts, in
     pixel order below every number. The other points never raise a recall
     level's maximum: a later positive of a tie group has tp and k smaller by
     the same d, so a lower recall and a precision (tp - d) / (k - d) <=
     tp / k, and a threshold whose tie group holds only negatives has the
-    recall of the group above it and no higher precision. The merge is cut
-    into ranges of the merged order; each range gives its maximum precision
-    per recall level, and the largest over the ranges is the level's value.
+    recall of the group above it and no higher precision.
+
+    The positives, in ascending order, are cut into blocks of at most
+    ``_AP_BLOCK`` whose edges include every recall level's cut point, and
+    each block's two end points are evaluated. Along a block tp falls and
+    the count of negatives not below shrinks, so no point in it has a
+    precision above its bound: its first point's tp over that tp plus its
+    last point's negatives. Float64 division of integer counts is
+    monotone, so a block whose bound is no greater than the best end point
+    of the smallest level holding it cannot change any level's maximum;
+    every other block is evaluated point by point.
     """
     n_pos = sum(s.positive.size for s in splits)
     if n_pos == 0:
-        raise ValueError(
+        raise NumericError(
             "average precision is undefined: no positive pixels in truth"
         )
     n_neg = sum(s.negative.size for s in splits)
@@ -264,25 +280,14 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     nan_pos = int(np.count_nonzero(nan_positive))
     p = n_pos - nan_pos
     n = n_neg - (nan_positive.size - nan_pos)
-    pos, neg = pos[:p], neg[:n]
-    cuts = [_merge_cut(pos, neg, t) for t in range(0, p + n, _MERGE_RANGE)]
-    cuts.append((p, n))
-
-    def range_maxima(j):
-        (m0, c0), (m1, c1) = cuts[j], cuts[j + 1]
-        # Rank of each positive in the range's merged ascending order.
-        rank = np.flatnonzero(np.argsort(
-            np.concatenate((pos[m0:m1], neg[c0:c1])), kind="stable") < m1 - m0)
-        return _level_maxima(np.arange(p - m0, p - m1, -1),
-                             p + n - m0 - c0 - rank, n_pos)
-
-    maxima = list(pool_map(range_maxima, range(len(cuts) - 1)))
     # Each positive NaN pixel is a threshold below every number.
     nan_rank = np.flatnonzero(nan_positive)[::-1] + 1
-    maxima.append(_level_maxima(np.arange(p + nan_rank.size, p, -1),
-                                p + n + nan_rank, n_pos))
+    maxima = np.maximum(
+        _block_maxima(pos[:p], neg[:n], n_pos),
+        _level_maxima(np.arange(p + nan_rank.size, p, -1), p + n + nan_rank,
+                      n_pos))
     total = 0.0
-    for level_max in np.max(maxima, axis=0):
+    for level_max in maxima:
         total += float(level_max)
     return total / 11.0
 
@@ -295,19 +300,55 @@ def _sorted_run(parts: list) -> np.ndarray:
     return run
 
 
-def _merge_cut(pos: np.ndarray, neg: np.ndarray, t: int) -> tuple[int, int]:
-    """(m, t - m): the first t pixels of the stable merge of the sorted runs
-    ``pos`` and ``neg``, positives first on ties, are pos[:m] and neg[:t - m].
+def _block_maxima(pos: np.ndarray, neg: np.ndarray, n_pos: int) -> np.ndarray:
+    """Per recall level, the maximum precision over the points of the sorted
+    runs ``pos`` and ``neg``, or -inf where none reaches it.
+
+    The positive at index i has tp = p - i and k = tp + c_i, where c_i
+    counts the negatives not below it. Level j holds the points i < r_j, and
+    each block of positives either has its maximum computed point by point
+    or is skipped by the bound rule of :func:`pooled_average_precision`.
     """
-    lo, hi = max(0, t - neg.size), min(t, pos.size)
-    while lo < hi:
-        m = (lo + hi + 1) // 2
-        # pos[m - 1] precedes neg[t - m] exactly when it is not greater.
-        if pos[m - 1] <= neg[t - m]:
-            lo = m
-        else:
-            hi = m - 1
-    return lo, t - lo
+    p, n = pos.size, neg.size
+    reach = _reach_counts(p, n_pos)
+    edges = np.union1d(np.arange(0, p, _AP_BLOCK), reach)
+    first, stop = edges[:-1], edges[1:]
+    c_first, c_last = np.split(
+        n - np.searchsorted(neg, pos[np.concatenate((first, stop - 1))]), 2)
+    tp_first, tp_last = p - first, p - stop + 1
+    best = np.maximum(tp_first / (tp_first + c_first),
+                      tp_last / (tp_last + c_last))
+    bound = tp_first / (tp_first + c_last)
+    # Level j holds blocks [0, blocks[j]), so the smallest level holding
+    # block t ends at the least of those counts above t.
+    blocks = np.searchsorted(first, reach)
+    ends = np.unique(blocks)
+    level_end = ends[np.searchsorted(ends, np.arange(first.size), "right")]
+    floor = np.maximum.accumulate(best)[level_end - 1]
+    for t in np.flatnonzero(bound > floor):
+        # Below each of the block's positives lie all of neg[:lo] and
+        # some of neg[lo:hi].
+        lo, hi = n - c_first[t], n - c_last[t]
+        tp = np.arange(tp_first[t], tp_last[t] - 1, -1)
+        k = tp + (c_first[t] - np.searchsorted(neg[lo:hi],
+                                               pos[first[t]:stop[t]]))
+        best[t] = (tp / k).max()
+    return np.concatenate(([-np.inf], np.maximum.accumulate(best)))[blocks]
+
+
+def _reach_counts(p: int, n_pos: int) -> np.ndarray:
+    """Per recall level, how many of tp = p, p - 1, ..., 1 have a recall
+    tp / n_pos, one float64 division, that reaches it."""
+    counts = []
+    for level in _RECALL_LEVELS:
+        # The least tp that reaches the level, from an estimate within one.
+        tp = max(1, math.ceil(level * n_pos))
+        while tp > 1 and (tp - 1) / n_pos >= level:
+            tp -= 1
+        while tp / n_pos < level:
+            tp += 1
+        counts.append(max(0, p - tp + 1))
+    return np.array(counts)
 
 
 def _level_maxima(tp: np.ndarray, k: np.ndarray, n_pos: int) -> np.ndarray:
@@ -360,7 +401,7 @@ def build_report(cm: ConfusionMatrix, positive_class: int = 1,
     evaluated pixels) enable the avg_precision column; both or neither.
     """
     if (scores is None) != (truth is None):
-        raise ValueError("scores and truth must be supplied together")
+        raise NumericError("scores and truth must be supplied together")
     stats = cm.binary_stats(positive_class)
     ap = None
     if scores is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 # Type alias for readability; a tensor is a float32 ndarray shaped (C, H, W).
 Tensor = np.ndarray
@@ -142,7 +142,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         raise call.error
     out = call.out
     if not np.isfinite(out).all():
-        raise ValueError("conv2d produced non-finite values")
+        raise NumericError("conv2d produced non-finite values")
     return out
 
 
@@ -336,7 +336,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     exactly and factor 1 is the identity.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"upsample factor must be a positive integer, got {factor!r}")
+        raise NumericError(f"upsample factor must be a positive integer, got {factor!r}")
     if factor == 1:
         return x.copy()
     _, h, w = x.shape
@@ -370,7 +370,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = a + b
     if not np.isfinite(out).all():
-        raise ValueError("add produced non-finite values")
+        raise NumericError("add produced non-finite values")
     return out
 
 

@@ -5,9 +5,10 @@ scalars: slow, obvious, and sharing no code with the vectorized
 implementations under test. The exceptions are ``full_forward``, which
 runs the library's own stages once each with no schedule (the reference
 every scheduled run must match bit for bit), and
-``average_precision_argsort``, ``decode_gt_mask_int64`` and the ``*_joined``
-writers, frozen copies of earlier implementations that their faster
-replacements must match bit for bit (or byte for byte).
+``average_precision_argsort``, ``confusion_add_astype``,
+``decode_gt_mask_int64`` and the ``*_joined`` writers, frozen copies of
+earlier implementations that their faster replacements must match bit for
+bit (or byte for byte).
 """
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,6 +252,29 @@ def average_precision_argsort(scores, truth, positive_class=1):
         ok = recalls >= level
         total += float(precisions[ok].max()) if ok.any() else 0.0
     return total / 11.0
+
+
+def confusion_add_astype(counts, truth, pred):
+    """``ConfusionMatrix.add`` through int64 copies of both label arrays and
+    a range test per array; adds into ``counts`` in place."""
+    t = np.asarray(truth).ravel()
+    p = np.asarray(pred).ravel()
+    if t.shape != p.shape:
+        raise ShapeError(
+            f"truth shape {np.asarray(truth).shape} != "
+            f"pred shape {np.asarray(pred).shape}"
+        )
+    n = counts.shape[0]
+    for name, a in (("truth", t), ("pred", p)):
+        if a.size and (a.min() < 0 or a.max() >= n):
+            raise ValueError(
+                f"{name} labels must lie in [0, {n}), got range "
+                f"[{a.min()}, {a.max()}]"
+            )
+    counts += np.bincount(
+        t.astype(np.int64) * n + p.astype(np.int64), minlength=n * n
+    ).reshape(n, n)
+    return counts
 
 
 def decode_gt_mask_int64(image, palette):

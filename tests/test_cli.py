@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cwseg.cli as cli
-from cwseg import read_weights, write_image, write_weights
+from cwseg import NumericError, read_weights, write_image, write_weights
 from oracles import average_precision_argsort
 from testutil import assert_elapsed_rule, fixed_sequence, make_frame, random_frames
 
@@ -276,6 +276,25 @@ def test_io_errors_exit_3(tmp_path, weights_file):
                    "--out", tmp_path / "o")
     assert proc.returncode == 3
     assert "magic" in proc.stderr
+
+
+def test_only_package_errors_exit_4(tmp_path, monkeypatch, capsys):
+    """A NumericError exits 4; a plain ValueError, such as one of numpy's,
+    is a defect and escapes main with its traceback."""
+    argv = ["gen-weights", "--out", str(tmp_path / "w.cwf")]
+
+    def fail(exc):
+        def command(args):
+            raise exc
+        return command
+
+    monkeypatch.setattr(cli, "cmd_gen_weights",
+                        fail(NumericError("factor out of range")))
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "error: factor out of range\n"
+    monkeypatch.setattr(cli, "cmd_gen_weights", fail(ValueError("numpy")))
+    with pytest.raises(ValueError, match="numpy"):
+        cli.main(argv)
 
 
 def test_contract_errors_exit_4(tmp_path, weights_file):

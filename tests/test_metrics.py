@@ -17,6 +17,7 @@ from cwseg.metrics import pooled_average_precision, split_scores
 from oracles import (
     average_precision_argsort,
     average_precision_oracle,
+    confusion_add_astype,
     segmentation_metrics_oracle,
 )
 
@@ -136,6 +137,46 @@ def test_accumulate_validation():
         cm.add(np.array([0, 2]), np.array([0, 1]))
     with pytest.raises(ValueError, match="labels"):
         cm.add(np.array([0, 1]), np.array([-1, 1]))
+
+
+def _outcome(add):
+    try:
+        return add(), None
+    except ValueError as exc:
+        return None, exc
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_add_equals_astype_version(data):
+    """Counts and error messages equal the frozen int64-copy version for
+    labels of several integer widths, bools and floats (NaN included), in
+    range and out of it on either side, in either array."""
+    n = data.draw(st.integers(2, 5))
+    size = data.draw(st.integers(0, 30))
+
+    def labels():
+        dtype = data.draw(st.sampled_from(
+            [np.int64, np.int32, np.int8, np.uint8, np.bool_, np.float64]))
+        if dtype is np.float64:
+            values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, n - 0.5, n, np.nan])
+        elif dtype is np.bool_:
+            values = st.booleans()
+        else:
+            values = st.integers(max(-2, int(np.iinfo(dtype).min)), n + 1)
+        return np.array(data.draw(st.lists(values, min_size=size,
+                                           max_size=size)), dtype=dtype)
+
+    truth, pred = labels(), labels()
+    with np.errstate(invalid="ignore"):  # NaN cast to int64
+        want, want_exc = _outcome(lambda: confusion_add_astype(
+            np.zeros((n, n), np.int64), truth, pred))
+        got, got_exc = _outcome(lambda: ConfusionMatrix(n).add(truth,
+                                                                pred).counts)
+    if want_exc is None:
+        assert got_exc is None and np.array_equal(got, want)
+    else:
+        assert str(got_exc) == str(want_exc)
 
 
 @settings(max_examples=100)
@@ -275,8 +316,8 @@ _AP_SPECIAL = [0.0, -0.0, 0.25, -0.25, 1.0, np.inf, -np.inf, np.nan]
 
 
 @st.composite
-def _ap_cases(draw):
-    n = draw(st.integers(1, 40))
+def _ap_cases(draw, max_size=40):
+    n = draw(st.integers(1, max_size))
     dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
     if dtype is np.int64:
         values = st.integers(-3, 3)
@@ -308,19 +349,20 @@ def pool_maps():
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_ap_cases(), data=st.data())
+@given(case=_ap_cases(max_size=300), data=st.data())
 def test_sharded_ap_equals_stable_argsort_version(pool_maps, case, data):
     """Shards at random cuts (empty, without positives, NaN in several),
-    split with and without preallocated buffers and combined with merge
-    ranges of 1 to 8 pixels, so that range cuts fall inside tie groups;
-    every map gives the oracle's result on the concatenation."""
+    split with and without preallocated buffers and combined with blocks
+    of 1 to 8 positives, so that block edges fall inside tie groups and
+    blocks are both skipped and evaluated; every map gives the oracle's
+    result on the concatenation."""
     scores, truth, positive_class = case
     want = average_precision_argsort(scores, truth, positive_class)
     s = scores if scores.dtype == np.float32 else scores.astype(np.float64)
     bounds = [0, *sorted(data.draw(st.lists(st.integers(0, s.size),
                                             max_size=4))), s.size]
     preallocate = data.draw(st.booleans())
-    merge_range = data.draw(st.integers(1, 8))
+    block = data.draw(st.integers(1, 8))
 
     def split(shard):
         a, b = shard
@@ -330,17 +372,72 @@ def test_sharded_ap_equals_stable_argsort_version(pool_maps, case, data):
         return split_scores(s[a:b], positive, out if preallocate else
                             (None, None))
 
-    old_interval, old_range = sys.getswitchinterval(), metrics._MERGE_RANGE
+    old_interval, old_block = sys.getswitchinterval(), metrics._AP_BLOCK
     sys.setswitchinterval(1e-5)
-    metrics._MERGE_RANGE = merge_range
+    metrics._AP_BLOCK = block
     try:
         for pool_map in pool_maps.values():
             splits = list(pool_map(split, zip(bounds, bounds[1:])))
             assert pooled_average_precision(splits, pool_map) == want
             assert splits == []
     finally:
-        metrics._MERGE_RANGE = old_range
+        metrics._AP_BLOCK = old_block
         sys.setswitchinterval(old_interval)
+
+
+def _no_prune_case():
+    """Every positive ties one negative, so every point has precision
+    exactly 1/2 and no block of two or more points can be skipped."""
+    m = 3 * metrics._AP_BLOCK + 5
+    v = np.arange(m, dtype=np.float64)
+    return np.concatenate([v, v]), (np.arange(2 * m) < m).astype(np.int64)
+
+
+def _max_inside_block_case():
+    """Recall level 0 has its maximum strictly inside the last block: a
+    cluster of negatives sits half a block below the top positive, so the
+    first positive above it has precision 2048/2049 (at 4096-positive
+    blocks), while no end point of any block reaches 0.9."""
+    b = metrics._AP_BLOCK
+    p = 20 * b  # level 0.1 cuts 2b - 1 positives below the top
+    pos = np.arange(p, dtype=np.float64)
+    neg = np.concatenate([np.full(10_000, p - b // 2 - 0.5), [p + 1.0]])
+    return (np.concatenate([pos, neg]),
+            np.concatenate([np.ones(p, np.int64), np.zeros(neg.size, np.int64)]))
+
+
+def _level_cut_in_tie_group_case():
+    """Recall level 0.5 cuts a tie group of 200 positives and 50
+    negatives."""
+    p = 3 * metrics._AP_BLOCK
+    pos = np.arange(p, dtype=np.float64)
+    pos[p // 2 - 100:p // 2 + 100] = p // 2
+    neg = np.concatenate([np.arange(0, p, 3) + 0.5, np.full(50, p // 2)])
+    return (np.concatenate([pos, neg]),
+            np.concatenate([np.ones(p, np.int64), np.zeros(neg.size, np.int64)]))
+
+
+def _nan_with_skipped_blocks_case():
+    """Well separated float32 scores, so that most blocks are skipped, with
+    NaN scores on positive and negative pixels."""
+    rng = np.random.default_rng(1613)
+    m = 64 * metrics._AP_BLOCK
+    truth = (rng.random(m) < 0.45).astype(np.uint8)
+    scores = (rng.standard_normal(m, dtype=np.float32)
+              + np.float32(1.5) * truth)
+    scores[rng.integers(0, m, 300)] = np.float32(np.nan)
+    return scores, truth
+
+
+@pytest.mark.parametrize("make", [
+    _no_prune_case, _max_inside_block_case, _level_cut_in_tie_group_case,
+    _nan_with_skipped_blocks_case,
+], ids=["no-prune", "max-inside-block", "level-cut-in-tie-group",
+        "nan-with-skipped-blocks"])
+def test_ap_blocks_equal_stable_argsort_version(make):
+    scores, truth = make()
+    assert average_precision(scores, truth) == average_precision_argsort(
+        scores, truth)
 
 
 @pytest.mark.parametrize("scores", [
