@@ -10,9 +10,20 @@ freely across threads. Tensors are checked where they enter the package
 kernels check only that their shapes agree.
 
 ``conv2d``'s docstring gives the banding and thread-sharing rules.
+
+What limits ``segment``'s two threads depends on the frame size. At 64x64
+most calls here are small, so much of a frame is interpreter work, which
+holds the GIL: the threads queue on it, and each thread's wall time exceeds
+its CPU time. A call's fixed cost therefore counts on both threads, and the
+kernels keep it small: ``conv2d`` builds its patch view directly, zeroes only
+the padding a band reads and does not touch the board for a call of one
+band, and ``upsample_bilinear`` computes each axis's coordinates once per
+shape. At 256x512 the time goes to matrix products and copies that release
+the GIL, and the helper thread's stage 1 is the floor.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections import deque
@@ -20,7 +31,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ShapeError
 
@@ -102,8 +112,8 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     (at least one row per band). A band's float64 column buffer holds at most
     ``IM2COL_BAND_BYTES``, or half the layer's float64 weight bytes when that
     is larger. Each band first copies just the input rows it reads into a
-    small zeroed float64 buffer, which supplies the padding, so the whole
-    input is never padded at once. Each band's result is written straight
+    small float64 buffer, whose pad columns are zero, and zeroes any padding
+    rows it reads, so the whole input is never padded at once. Each band's result is written straight
     into the float32 output. Only the output-pixel dimension is split, so
     every output value is the same full-length dot product as in a single
     unbanded GEMM, and the result is bit-identical to it.
@@ -131,9 +141,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"pad {p.pad}) does not fit input {h}x{w}"
         )
     call = _ConvCall(x, p, oh, ow)
-    # A call of one band is not posted: no other thread could share it,
-    # and waking one costs more than the band.
-    if len(call.starts) > 1:
+    if call.posted:
         with _board:
             _open_calls.append(call)
             _board.notify_all()
@@ -195,6 +203,9 @@ class _ConvCall:
         band_bytes = max(IM2COL_BAND_BYTES, 4 * p.out_channels * self.k)
         self.band_rows = min(oh, max(1, band_bytes // (8 * self.k * ow)))
         self.starts = range(0, oh, self.band_rows)
+        # A call of one band is not posted: no other thread could share it,
+        # and waking one costs more than the band.
+        self.posted = len(self.starts) > 1
         # Views of the float64 arrays ConvParams holds: no per-call cast.
         self.w64 = p.weights.reshape(p.out_channels, self.k)
         self.b64 = p.bias[:, None]
@@ -225,6 +236,10 @@ class _ConvCall:
             except BaseException as exc:  # re-raised by the owning conv2d
                 error = error or exc
             done += 1
+        if not self.posted:
+            # Only the owner ever sees this call: no lock, nothing to find.
+            self.error = error
+            return
         with _board:
             if self in _open_calls:
                 _open_calls.remove(self)
@@ -240,9 +255,12 @@ class _ConvCall:
         the GEMM result, each sized for a full band."""
         p, (c, _, w) = self.p, self.x.shape
         n = self.band_rows * self.ow
-        # The pad columns of the input rows are never written.
-        band_in = np.zeros((c, (self.band_rows - 1) * p.stride + p.kernel_h,
+        band_in = np.empty((c, (self.band_rows - 1) * p.stride + p.kernel_h,
                             w + 2 * p.pad), dtype=np.float64)
+        # No band writes the pad columns; every band writes every row of its
+        # span between them (_conv_band).
+        band_in[:, :, : p.pad] = 0.0
+        band_in[:, :, p.pad + w :] = 0.0
         return (band_in, np.empty(self.k * n, dtype=np.float64),
                 np.empty(p.out_channels * n, dtype=np.float64))
 
@@ -254,9 +272,11 @@ class _ConvCall:
         p, n = self.p, rows * self.ow
         band = band_in[:, : (rows - 1) * p.stride + p.kernel_h]
         sc, sh, sw = band.strides
-        patches = as_strided(
-            band,
-            shape=(band.shape[0], p.kernel_h, p.kernel_w, rows, self.ow),
+        # The same view as numpy's as_strided, without its round trip
+        # through __array_interface__.
+        patches = np.ndarray(
+            (band.shape[0], p.kernel_h, p.kernel_w, rows, self.ow),
+            np.float64, buffer=band_in,
             strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
         )
         cols = cols_buf[: self.k * n].reshape(self.k, n)
@@ -274,9 +294,13 @@ def _conv_band(call: _ConvCall, r0: int, views) -> None:
     lo, span = r0 * p.stride, band.shape[1]
     top = max(0, p.pad - lo)
     y0, y1 = max(0, lo - p.pad), min(h, lo + span - p.pad)
-    band[:, :top] = 0.0
+    # Padding rows are written only where the span has them, which no
+    # interior band does.
+    if top:
+        band[:, :top] = 0.0
     band[:, top : top + y1 - y0, p.pad : p.pad + w] = call.x[:, y0:y1]
-    band[:, top + y1 - y0 :] = 0.0
+    if top + y1 - y0 < span:
+        band[:, top + y1 - y0 :] = 0.0
     np.copyto(cols_nd, patches)
     np.matmul(call.w64, cols, out=acc)
     acc += call.b64
@@ -287,9 +311,12 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """Per-channel sliding max over square windows.
 
     Folds the ``window * window`` strided slices of ``x`` (one per offset
-    inside the window) into a copy of the first with elementwise maximum.
-    Max is exact, so the fold order cannot change the result. The output
-    owns its memory.
+    inside the window), in (dy, dx) order, into a copy of the first with
+    ``np.maximum(out, v)``, which returns its second operand on a tie. So
+    the result is the window's maximum value and, where several entries
+    equal it (+0.0 and -0.0 compare equal), the bits of the last of them
+    in (dy, dx) order. Any split of the output into bands keeps this rule.
+    The output owns its memory.
     """
     x = as_chw(x)
     if window < 1 or stride < 1:
@@ -318,7 +345,10 @@ def relu(x: Tensor, out: Tensor | None = None) -> Tensor:
     return np.maximum(x, np.float32(0.0), out=out)
 
 
+@functools.lru_cache(maxsize=64)
 def _axis_coords(n_in: int, factor: int):
+    """Source rows (or columns) and weights of one upsampled axis, computed
+    once per (n_in, factor) and shared read-only by every call."""
     # Sample centers at (i + 0.5)/factor - 0.5, clamped to the border
     # (align-corners=false convention).
     out = np.arange(n_in * factor, dtype=np.float64)
@@ -326,6 +356,8 @@ def _axis_coords(n_in: int, factor: int):
     lo = np.floor(src).astype(np.int64)
     hi = np.minimum(lo + 1, n_in - 1)
     t = (src - lo).astype(np.float32)
+    for a in (lo, hi, t):
+        a.setflags(write=False)
     return lo, hi, t
 
 

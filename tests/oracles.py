@@ -6,9 +6,9 @@ implementations under test. The exceptions are ``full_forward``, which
 runs the library's own stages once each with no schedule (the reference
 every scheduled run must match bit for bit), and
 ``average_precision_argsort``, ``confusion_add_astype``,
-``decode_gt_mask_int64`` and the ``*_joined`` writers, frozen copies of
-earlier implementations that their faster replacements must match bit for
-bit (or byte for byte).
+``decode_gt_mask_int64``, ``upsample_bilinear_fancy`` and the ``*_joined``
+writers, frozen copies of earlier implementations that their faster
+replacements must match bit for bit (or byte for byte).
 """
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +77,10 @@ def conv2d_oracle(x, weights, bias, stride=1, pad=0):
     return out.astype(np.float32)
 
 
-def maxpool2d_oracle(x, window, stride):
+def maxpool2d_oracle(x, window, stride, keep_last=False):
+    """Sliding max over windows scanned in (dy, dx) order. Of several equal
+    values it keeps the first, or with ``keep_last`` the last: a window
+    holding both +0.0 and -0.0 differs only in the bits of its result."""
     x = np.asarray(x)
     c, h, w = x.shape
     oh = (h - window) // stride + 1
@@ -90,7 +93,7 @@ def maxpool2d_oracle(x, window, stride):
                 for ky in range(window):
                     for kx in range(window):
                         v = x[i, oy * stride + ky, ox * stride + kx]
-                        if v > best:
+                        if v > best or (keep_last and v == best):
                             best = v
                 out[i, oy, ox] = best
     return out
@@ -341,3 +344,29 @@ def write_weights_joined(store, path):
             parts.append(int(d).to_bytes(4, "little"))
         parts.append(a.astype("<f4").tobytes())
     Path(path).write_bytes(b"".join(parts))
+
+
+def upsample_bilinear_fancy(x, factor):
+    """``upsample_bilinear`` with each axis's coordinates computed on every
+    call, rows and columns gathered by fancy indexing and each lerp
+    a + t*(b - a) evaluated into fresh temporaries."""
+    if factor == 1:
+        return x.copy()
+
+    def axis_coords(n_in):
+        out = np.arange(n_in * factor, dtype=np.float64)
+        src = np.clip((out + 0.5) / factor - 0.5, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.int64)
+        hi = np.minimum(lo + 1, n_in - 1)
+        t = (src - lo).astype(np.float32)
+        return lo, hi, t
+
+    _, h, w = x.shape
+    y_lo, y_hi, ty = axis_coords(h)
+    x_lo, x_hi, tx = axis_coords(w)
+    r0 = x[:, y_lo, :]
+    r1 = x[:, y_hi, :]
+    rows = r0 + ty[None, :, None] * (r1 - r0)
+    c0 = rows[:, :, x_lo]
+    c1 = rows[:, :, x_hi]
+    return c0 + tx[None, None, :] * (c1 - c0)

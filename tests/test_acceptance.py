@@ -97,15 +97,15 @@ def test_criterion_2():
         for got, want in zip(masks, full_masks):
             assert got.tobytes() == want.tobytes()
 
-    def best_wall(schedule):
-        walls = []
-        for _ in range(3):
+    # The arms alternate, so a slow phase of the host falls on both.
+    walls = {"adaptive": [], "always": []}
+    for _ in range(3):
+        for arm, schedule in (("adaptive", Adaptive(theta=theta)),
+                              ("always", Always())):
             t0 = time.perf_counter()
             run_sequence(net, schedule, SkipPolicy.FUSE_CACHED_DEEP, frames)
-            walls.append(time.perf_counter() - t0)
-        return min(walls)
-
-    wall_ratio = best_wall(Adaptive(theta=theta)) / best_wall(Always())
+            walls[arm].append(time.perf_counter() - t0)
+    wall_ratio = min(walls["adaptive"]) / min(walls["always"])
     assert wall_ratio < 0.9
     assert time.perf_counter() - start < 60.0
 

@@ -22,7 +22,12 @@ from cwseg import (
 )
 from cwseg import tensor_ops
 from cwseg.tensor_ops import IM2COL_BAND_BYTES, help_until
-from oracles import conv2d_oracle, maxpool2d_oracle, upsample_bilinear_oracle
+from oracles import (
+    conv2d_oracle,
+    maxpool2d_oracle,
+    upsample_bilinear_fancy,
+    upsample_bilinear_oracle,
+)
 
 
 def t(data):
@@ -423,6 +428,43 @@ def test_shared_bands_under_fast_thread_switching(monkeypatch):
     assert len(ran) == 5 * sum(len(bands) for bands in BAND_CASES.values())
 
 
+class CountingBoard(threading.Condition):
+    """The band board, counting how often a thread takes its lock."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = 0
+
+    def __enter__(self):
+        self.entered += 1
+        return super().__enter__()
+
+
+def test_one_band_call_is_not_posted_and_raises_its_band_error(monkeypatch):
+    x = np.random.default_rng(3).uniform(-1, 1, (2, 5, 6)).astype(np.float32)
+    p = ConvParams(3, 2, 3, 3, np.ones((3, 2, 3, 3)), np.zeros(3), pad=1)
+    board = CountingBoard()
+    monkeypatch.setattr(tensor_ops, "_board", board)
+    # A call of several bands is posted, which takes the lock.
+    conv2d(*band_case(*next(iter(BAND_CASES))))
+    assert board.entered > 0 and not tensor_ops._open_calls
+    board.entered = 0
+    assert conv2d(x, p).tobytes() == untiled_conv2d(x, p).tobytes()
+    assert board.entered == 0 and not tensor_ops._open_calls
+
+    seen = []
+
+    def before():
+        seen.append(list(tensor_ops._open_calls))
+        raise RuntimeError("the only band failed")
+
+    wrap_bands(monkeypatch, before)
+    with pytest.raises(RuntimeError, match="the only band failed"):
+        conv2d(x, p)
+    assert seen == [[]]
+    assert board.entered == 0 and not tensor_ops._open_calls
+
+
 # ---------------------------------------------------------------------------
 # maxpool2d / relu
 
@@ -470,6 +512,21 @@ def test_maxpool_matches_loop_oracle_on_larger_maps(shape, window, stride):
     want = maxpool2d_oracle(x, window, stride)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window,stride", [(2, 2), (2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("shape", [(3, 9, 11), (4, 32, 64)])
+def test_maxpool_keeps_the_last_of_equal_values(shape, window, stride):
+    """Windows mixing +0.0 and -0.0: the fold keeps the last zero in
+    (dy, dx) order, which shows in the bytes."""
+    rng = np.random.default_rng(window * 10 + stride + shape[1])
+    x = np.where(rng.random(shape) < 0.5, np.float32(-0.0), np.float32(0.0))
+    x[rng.random(shape) < 0.2] = -1.0
+    got = maxpool2d(x, window, stride)
+    want = maxpool2d_oracle(x, window, stride, keep_last=True)
+    assert got.tobytes() == want.tobytes()
+    # Kept by value alone (the first zero), some window would differ.
+    assert got.tobytes() != maxpool2d_oracle(x, window, stride).tobytes()
 
 
 @pytest.mark.parametrize("window,stride", [(1, 1), (2, 2), (3, 2)])
@@ -545,6 +602,37 @@ def test_upsample_matches_formula_oracle(x, factor):
     got = upsample_bilinear(x, factor)
     want = upsample_bilinear_oracle(x, factor)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+# Any float32, with NaN, both infinities and both zeros drawn often.
+SPECIAL_FLOATS = st.floats(width=32) | st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(1, 3).flatmap(lambda c: st.integers(1, 9).flatmap(
+        lambda h: st.integers(1, 9).flatmap(lambda w: arrays(
+            np.float32, (c, h, w), elements=SPECIAL_FLOATS)))),
+    factor=st.integers(1, 8),
+)
+def test_upsample_matches_frozen_fancy_index_copy_bytes(x, factor):
+    with np.errstate(all="ignore"):
+        got = upsample_bilinear(x, factor)
+        want = upsample_bilinear_fancy(x, factor)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_upsample_coordinates_are_cached_and_read_only():
+    upsample_bilinear(t(np.zeros((1, 3, 5))), 4)
+    coords = tensor_ops._axis_coords(3, 4) + tensor_ops._axis_coords(5, 4)
+    for a in coords:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # Later calls share the same arrays.
+    assert all(a is b for a, b in zip(
+        coords, tensor_ops._axis_coords(3, 4) + tensor_ops._axis_coords(5, 4)))
 
 
 # ---------------------------------------------------------------------------
