@@ -54,6 +54,7 @@ from .media_io import (
     SequenceManifest,
     decode_gt_mask,
     gen_weights,
+    palette_hits,
     parse_palette,
     read_image,
     read_manifest,

@@ -27,8 +27,9 @@ import numpy as np
 from .errors import ContractError, CwsegError, FileFormatError, ShapeError
 from .media_io import (
     DEFAULT_PALETTE,
-    decode_gt_mask,
+    decode_gt_mask,  # unused; perfbench/tracer.py patches cli.decode_gt_mask
     gen_weights,
+    palette_hits,
     parse_palette,
     read_image,
     read_manifest,
@@ -105,12 +106,14 @@ def _open_sequence(args) -> tuple[tuple[Path, ...], list, StagedNet]:
 
 
 def _check_unique_stems(frames) -> None:
+    """Per-frame files are named by the frame's stem, so two frames with
+    one stem would share their masks and score files."""
     stems = [p.stem for p in frames]
     if len(set(stems)) != len(stems):
         dup = next(s for s in stems if stems.count(s) > 1)
         raise FileFormatError(
             f"manifest has multiple frames with stem '{dup}'; "
-            f"output names would collide"
+            f"per-frame file names would collide"
         )
 
 
@@ -228,6 +231,16 @@ def _eval_worker_count() -> int:
     return min(4, cpus)
 
 
+def _mask_hits(path, palette) -> np.ndarray:
+    """``palette_hits`` of the mask file at ``path``; its palette and RGB
+    errors name the file."""
+    image = read_image(path)
+    try:
+        return palette_hits(image, palette)
+    except (FileFormatError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     palette = parse_palette(args.palette)
     manifest = read_manifest(args.manifest)
@@ -235,6 +248,7 @@ def cmd_eval(args) -> int:
         raise FileFormatError(
             f"{args.manifest}: manifest has no ground-truth column"
         )
+    _check_unique_stems(manifest.frames)
     num_classes = len(palette)
     if not 0 <= args.positive_class < num_classes:
         raise ContractError(
@@ -251,9 +265,9 @@ def cmd_eval(args) -> int:
             raise FileFormatError(
                 f"missing prediction for frame '{frame_path.stem}': {pred_path}"
             )
-        truth = decode_gt_mask(read_image(truth_path), palette)
-        pred = decode_gt_mask(read_image(pred_path), palette)
-        cm = ConfusionMatrix(num_classes).add(truth, pred)
+        truth_hits = _mask_hits(truth_path, palette)
+        cm = ConfusionMatrix(num_classes).add_hits(
+            truth_hits, _mask_hits(pred_path, palette))
         if scores_dir is None:
             return cm, None
         scores_path = scores_dir / f"{frame_path.stem}.scores.cwf"
@@ -263,7 +277,8 @@ def cmd_eval(args) -> int:
             )
         # The kept score buffers are allocated before the file is read, so
         # they do not interleave with freed file buffers in the heap.
-        positive = truth.ravel() == args.positive_class
+        truth_positive = truth_hits[args.positive_class]
+        positive = truth_positive.ravel()
         n_pos = int(np.count_nonzero(positive))
         kept = (np.empty(n_pos, "<f4"), np.empty(positive.size - n_pos, "<f4"))
         store = read_weights(scores_path)
@@ -275,10 +290,10 @@ def cmd_eval(args) -> int:
                 f"{scores_path}: scores shape {chw.shape} lacks positive "
                 f"class channel {args.positive_class}"
             )
-        if chw.shape[1:] != truth.shape:
+        if chw.shape[1:] != truth_positive.shape:
             raise ShapeError(
                 f"{scores_path}: scores spatial shape {chw.shape[1:]} != "
-                f"truth shape {truth.shape}"
+                f"truth shape {truth_positive.shape}"
             )
         return cm, split_scores(chw[args.positive_class].ravel(), positive,
                                 kept)

@@ -2,6 +2,13 @@
 and sequence manifests. Everything here is bit-exact and dependency-free on
 purpose so golden files stay stable across platforms.
 
+PNM payloads are parsed from a read-only view of the file's bytes;
+``read_pnm`` returns a copy the caller owns, and ``read_image`` scales the
+pixels into its float32 tensor from that view. A ground-truth mask is
+matched against the palette by ``palette_hits``, one boolean mask per
+colour, which is what ``eval`` counts; ``decode_gt_mask`` builds int64
+labels from those masks, with the same checks and errors.
+
 Weight store format (magic ``CWFCN1``), all integers little-endian:
 
     magic       6 bytes  b"CWFCN1"
@@ -27,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FileFormatError, ShapeError
+from .metrics import index_map
 from .tensor_ops import Tensor, as_chw
 from .net import NetConfig, layer_specs
 
@@ -73,12 +81,10 @@ def _header_int(data: bytes, pos: int, path, what: str) -> tuple[int, int]:
     return value, pos
 
 
-def read_pnm(path) -> np.ndarray:
-    """Read a binary PGM (P5) or PPM (P6) file.
-
-    Returns uint8 arrays: (H, W) for P5, (H, W, 3) for P6. Only maxval 255
-    is accepted.
-    """
+def _pnm_pixels(path) -> np.ndarray:
+    """Parse a binary PGM (P5) or PPM (P6) file into a read-only uint8 view
+    of its pixel payload: (H, W) for P5, (H, W, 3) for P6. Only maxval 255
+    is accepted."""
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0, path, "magic")
     if magic not in (b"P5", b"P6"):
@@ -97,18 +103,25 @@ def read_pnm(path) -> np.ndarray:
             f"{path}: missing whitespace after maxval at byte offset {pos}"
         )
     pos += 1
-    channels = 1 if magic == b"P5" else 3
-    needed = width * height * channels
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    needed = math.prod(shape)
     avail = len(data) - pos
     if avail < needed:
         raise FileFormatError(
             f"{path}: truncated pixel payload, need {needed} bytes at byte "
             f"offset {pos} but file ends at byte {len(data)}"
         )
-    flat = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos)
-    if channels == 1:
-        return flat.reshape(height, width).copy()
-    return flat.reshape(height, width, 3).copy()
+    return np.frombuffer(data, dtype=np.uint8, count=needed,
+                         offset=pos).reshape(shape)
+
+
+def read_pnm(path) -> np.ndarray:
+    """Read a binary PGM (P5) or PPM (P6) file.
+
+    Returns writable uint8 arrays that own their data: (H, W) for P5,
+    (H, W, 3) for P6. Only maxval 255 is accepted.
+    """
+    return _pnm_pixels(path).copy()
 
 
 def write_pnm(path, pixels: np.ndarray) -> None:
@@ -132,15 +145,18 @@ def write_pnm(path, pixels: np.ndarray) -> None:
 def read_image(path) -> Tensor:
     """Read a PNM file as a float32 (C, H, W) tensor scaled to [0, 1].
 
-    The scaled pixels are written straight into one C-contiguous array.
+    The pixels are read from a view of the file's bytes; a P6 file's
+    channels are de-interleaved into one contiguous uint8 copy, so the one
+    division that scales them reads contiguous planes.
     """
-    px = read_pnm(path)
+    px = _pnm_pixels(path)
     if px.ndim == 2:
-        chw = px[np.newaxis, :, :]
+        planes = px[np.newaxis, :, :]
     else:
-        chw = np.transpose(px, (2, 0, 1))
-    out = np.empty(chw.shape, dtype=np.float32)
-    return np.divide(chw, np.float32(255.0), out=out)
+        planes = np.empty((3,) + px.shape[:2], dtype=np.uint8)
+        np.copyto(planes, np.transpose(px, (2, 0, 1)))
+    out = np.empty(planes.shape, dtype=np.float32)
+    return np.divide(planes, np.float32(255.0), out=out)
 
 
 def write_image(path, image: Tensor) -> None:
@@ -159,36 +175,54 @@ def write_image(path, image: Tensor) -> None:
 # Color-coded ground truth masks
 
 
-def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) -> np.ndarray:
-    """Map an RGB mask image to integer class labels via the palette.
+def palette_hits(image: Tensor,
+                 palette: Sequence[Color] = DEFAULT_PALETTE) -> np.ndarray:
+    """One boolean (H, W) mask per palette colour, as a (K, H, W) array: the
+    pixels of an RGB mask image that have that colour.
 
-    The image is the [0, 1]-scaled tensor from read_image. Any pixel whose
-    color is not in the palette is an error naming the color and location.
+    The image is the [0, 1]-scaled tensor from read_image. A colour listed
+    twice marks its pixels in its last entry only, so no pixel is in two
+    masks. Any pixel whose colour is not in the palette is an error naming
+    the colour and location.
     """
     img = as_chw(image)
     if img.shape[0] != 3:
         raise ShapeError(f"mask image must be RGB (3 channels), got {img.shape[0]}")
-    # Rounded float32 channels compare exactly with the integer palette.
-    rgb = img * np.float32(255.0)
-    np.rint(rgb, out=rgb)
-    # One plus the index of each pixel's colour, 0 where none matches. The
-    # running maximum keeps the last match without a masked (branching) write.
-    code = np.zeros(rgb.shape[1:], dtype=np.min_scalar_type(len(palette)))
-    for one_based, (r, g, b) in enumerate(palette, start=1):
-        hit = (rgb[0] == r) & (rgb[1] == g) & (rgb[2] == b)
-        np.maximum(code, np.multiply(hit, one_based, dtype=code.dtype),
-                   out=code)
-    unknown = code == 0
-    if unknown.any():
-        row, col = map(int, np.argwhere(unknown)[0])
+    shape = img.shape[1:]
+    last = {tuple(color): i for i, color in enumerate(palette)}
+    # One block for every mask: a block freed whole is reused by the next
+    # call, where as many separate masks come back as fresh pages.
+    hits = np.zeros((len(palette),) + shape, dtype=bool)
+    # Each channel is scaled and rounded in turn into one buffer; rounded
+    # float32 values compare exactly with the integer palette.
+    channel = np.empty(shape, dtype=np.float32)
+    equal = np.empty(shape, dtype=bool)
+    for c in range(3):
+        np.multiply(img[c], np.float32(255.0), out=channel)
+        np.rint(channel, out=channel)
+        for i in last.values():
+            if c == 0:
+                np.equal(channel, palette[i][0], out=hits[i])
+            else:
+                hits[i] &= np.equal(channel, palette[i][c], out=equal)
+    known = np.logical_or.reduce(hits, axis=0)
+    if not known.all():
+        row, col = divmod(int(np.argmin(known)), shape[1])
         # A NaN or infinite channel has no integer value; name it as is.
-        color = tuple(int(v) if math.isfinite(v) else float(v)
-                      for v in rgb[:, row, col])
+        rgb = np.rint(img[:, row, col] * np.float32(255.0))
+        color = tuple(int(v) if math.isfinite(v) else float(v) for v in rgb)
         raise FileFormatError(
             f"mask pixel at row {row}, col {col} has color {color} "
             f"which is not in the palette"
         )
-    return np.subtract(code, 1, dtype=np.int64)
+    return hits
+
+
+def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) -> np.ndarray:
+    """Map an RGB mask image to int64 class labels via the palette, with the
+    checks and errors of :func:`palette_hits`; a colour listed twice takes
+    its last index."""
+    return index_map(palette_hits(image, palette)).astype(np.int64)
 
 
 def write_mask(mask: np.ndarray, palette: Sequence[Color], path) -> None:

@@ -2,6 +2,10 @@
 whole-image metrics (acc, cl_acc, miu, fwiu), binary positive-class stats,
 and 11-point interpolated average precision.
 
+A confusion matrix accumulates either label maps (``add``) or one
+boolean mask per class (``add_hits``), which is how ``eval`` counts
+palette masks without building a label map.
+
 All values are fractions in [0, 1]; rendering as percentages is the
 caller's business. Classes absent from both truth and prediction are
 skipped when averaging, not counted as zeros.
@@ -22,6 +26,28 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError
+
+# Largest class count whose hit masks ``ConfusionMatrix.add_hits`` counts
+# pair by pair.
+_PAIRWISE_CLASSES = 4
+
+
+def index_map(masks: Sequence[np.ndarray], first: int = 0) -> np.ndarray:
+    """The map holding ``first + i`` at the pixels of ``masks[i]`` and 0 at
+    pixels in no mask, in the narrowest unsigned dtype that holds it.
+
+    The masks are boolean arrays of one shape, and no pixel is in two.
+    """
+    dtype = np.min_scalar_type(first + len(masks) - 1)
+    out = np.zeros(np.shape(masks[0]), dtype=dtype)
+    term = np.empty_like(out)
+    for i, mask in enumerate(masks):
+        if first + i:
+            # A boolean mask read as 0/1 bytes needs no cast loop.
+            np.multiply(np.asarray(mask, dtype=bool).view(np.uint8),
+                        dtype.type(first + i), out=term)
+            out += term
+    return out
 
 
 class ConfusionMatrix:
@@ -72,6 +98,47 @@ class ConfusionMatrix:
         bins = t.astype(np.int64, copy=False) * n
         np.add(bins, p.astype(np.int64, copy=False), out=bins)
         self.counts += np.bincount(bins, minlength=n * n).reshape(n, n)
+        return self
+
+    def add_hits(self, truth_hits: Sequence[np.ndarray],
+                 pred_hits: Sequence[np.ndarray]) -> "ConfusionMatrix":
+        """Accumulate one mask pair given as one boolean mask per class, as
+        ``media_io.palette_hits`` returns them, in place.
+
+        No pixel may be in two masks of one side; a pixel in none is not
+        counted. Up to ``_PAIRWISE_CLASSES`` classes, each count is one
+        ``count_nonzero(t_i & p_j)``; above that, one ``bincount`` of a
+        narrow code map beats the n² passes.
+        """
+        n = self.num_classes
+        if len(truth_hits) != n or len(pred_hits) != n:
+            raise ShapeError(
+                f"need {n} masks per side, got {len(truth_hits)} truth and "
+                f"{len(pred_hits)} pred masks"
+            )
+        t_shapes = {np.shape(m) for m in truth_hits}
+        p_shapes = {np.shape(m) for m in pred_hits}
+        if len(t_shapes | p_shapes) != 1:
+            raise ShapeError(
+                f"hit masks differ in shape: truth {sorted(t_shapes)}, "
+                f"pred {sorted(p_shapes)}"
+            )
+        shape = t_shapes.pop()
+        if n <= _PAIRWISE_CLASSES:
+            both = np.empty(shape, dtype=bool)
+            for i, t in enumerate(truth_hits):
+                for j, p in enumerate(pred_hits):
+                    self.counts[i, j] += np.count_nonzero(
+                        np.logical_and(t, p, out=both))
+            return self
+        # Code (i + 1) * (n + 1) + (j + 1) for truth i and prediction j; a
+        # side's 0 means the pixel is in none of its masks.
+        wide = np.min_scalar_type((n + 1) ** 2 - 1)
+        code = np.multiply(index_map(truth_hits, 1), wide.type(n + 1),
+                           dtype=wide)
+        code += index_map(pred_hits, 1)
+        bins = np.bincount(code.ravel(), minlength=(n + 1) ** 2)
+        self.counts += bins.reshape(n + 1, n + 1)[1:, 1:]
         return self
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":

@@ -7,8 +7,20 @@ import numpy as np
 import pytest
 
 import cwseg.cli as cli
-from cwseg import NumericError, read_weights, write_image, write_weights
-from oracles import average_precision_argsort
+from cwseg import (
+    ConfusionMatrix,
+    DEFAULT_PALETTE,
+    NumericError,
+    build_report,
+    decode_gt_mask,
+    read_image,
+    read_weights,
+    write_image,
+    write_mask,
+    write_pnm,
+    write_weights,
+)
+from oracles import average_precision_argsort, decode_gt_mask_int64
 from testutil import assert_elapsed_rule, fixed_sequence, make_frame, random_frames
 
 CMD = [sys.executable, "-m", "cwseg"]
@@ -30,8 +42,6 @@ def write_frames(dirpath, frames, gt_masks=None):
             lines.append(name)
         else:
             gt_name = f"gt{i:03d}.ppm"
-            from cwseg import DEFAULT_PALETTE, write_mask
-
             write_mask(gt_masks[i], DEFAULT_PALETTE, dirpath / gt_name)
             lines.append(f"{name} {gt_name}")
     manifest = dirpath / "manifest.txt"
@@ -130,8 +140,6 @@ def checkerboard(h, w):
 
 def test_eval_perfect_predictions(tmp_path, weights_file):
     """Predictions identical to GT, scores that rank positives first."""
-    from cwseg import DEFAULT_PALETTE, write_mask, write_weights
-
     frames = random_frames(4, 3)
     masks = [checkerboard(32, 32) for _ in frames]
     manifest = write_frames(tmp_path, frames, gt_masks=masks)
@@ -181,8 +189,6 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
     out = tmp_path / "out"
     assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
                      "--out", str(out), "--save-scores"]) == 0
-    from cwseg import DEFAULT_PALETTE, decode_gt_mask, read_image
-
     masks = [decode_gt_mask(read_image(out / f"frame{i:03d}.ppm"),
                             DEFAULT_PALETTE) for i in range(4)]
     # perturb one mask so the metrics are not all trivially 1.0
@@ -213,8 +219,6 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
 
 
 def test_eval_without_positive_pixels_exits_4(tmp_path):
-    from cwseg import DEFAULT_PALETTE, write_mask
-
     frames = random_frames(8, 2)
     masks = [np.zeros((32, 32), dtype=np.int64)] * 2
     manifest = write_frames(tmp_path, frames, gt_masks=masks)
@@ -256,6 +260,91 @@ def test_eval_missing_prediction_names_frame(tmp_path, weights_file):
     proc = run_cli("eval", empty, manifest)
     assert proc.returncode == 3
     assert "frame000" in proc.stderr
+
+
+def write_eval_inputs(dirpath, truths, preds, palette=DEFAULT_PALETTE):
+    """Truth masks, a manifest naming them and a ``pred`` directory of
+    predicted masks; no frame image is written, as eval reads none."""
+    pred_dir = dirpath / "pred"
+    pred_dir.mkdir()
+    lines = []
+    for i, (truth, pred) in enumerate(zip(truths, preds)):
+        write_mask(truth, palette, dirpath / f"gt{i:03d}.ppm")
+        write_mask(pred, palette, pred_dir / f"frame{i:03d}.ppm")
+        lines.append(f"frame{i:03d}.ppm gt{i:03d}.ppm")
+    manifest = dirpath / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest, pred_dir
+
+
+def test_eval_refuses_frames_sharing_a_stem(tmp_path):
+    masks = [np.zeros((4, 4), dtype=np.int64)] * 2
+    _, pred = write_eval_inputs(tmp_path, masks, masks)
+    manifest = tmp_path / "dup.txt"
+    manifest.write_text("a/frame000.ppm gt000.ppm\nb/frame000.ppm gt001.ppm\n")
+    proc = run_cli("eval", pred, manifest)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("error: manifest has multiple frames with stem "
+                           "'frame000'; per-frame file names would collide\n")
+
+
+def test_eval_unknown_prediction_colour_names_the_file(tmp_path):
+    masks = [checkerboard(4, 6)] * 3
+    manifest, pred = write_eval_inputs(tmp_path, masks, masks)
+    bad = np.zeros((4, 6, 3), dtype=np.uint8)
+    bad[3, 5] = (12, 34, 56)
+    write_pnm(pred / "frame002.ppm", bad)
+    proc = run_cli("eval", pred, manifest)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        f"error: {pred / 'frame002.ppm'}: mask pixel at row 3, col 5 has "
+        f"color (12, 34, 56) which is not in the palette\n")
+
+
+def test_eval_gray_truth_mask_names_the_file(tmp_path):
+    masks = [checkerboard(4, 6)] * 2
+    manifest, pred = write_eval_inputs(tmp_path, masks, masks)
+    write_pnm(tmp_path / "gt000.ppm", np.zeros((4, 6), dtype=np.uint8))
+    proc = run_cli("eval", pred, manifest)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (
+        f"error: {tmp_path / 'gt000.ppm'}: mask image must be RGB "
+        f"(3 channels), got 1\n")
+
+
+@pytest.mark.parametrize("palette", [
+    DEFAULT_PALETTE,
+    ((0, 0, 0), (255, 0, 255), (0, 128, 255), (255, 255, 0), (9, 9, 9),
+     (200, 100, 50)),
+])
+def test_eval_report_equals_build_report_of_int64_labels(tmp_path, capsys,
+                                                        palette):
+    """eval's hit-mask counts print the report that ``build_report`` makes
+    from int64 labels of the same files."""
+    n = len(palette)
+    rng = np.random.default_rng(n)
+    truths = [rng.integers(0, n, (16, 24)) for _ in range(3)]
+    preds = [np.where(rng.random((16, 24)) < 0.7, t, rng.integers(0, n, t.shape))
+             for t in truths]
+    manifest, pred = write_eval_inputs(tmp_path, truths, preds, palette)
+    scores = []
+    for i in range(3):
+        chw = rng.standard_normal((2, 16, 24)).astype(np.float32)
+        write_weights({"scores": chw}, pred / f"frame{i:03d}.scores.cwf")
+        scores.append(chw[1].ravel())
+    cm, labels = ConfusionMatrix(n), []
+    for i in range(3):
+        truth = decode_gt_mask_int64(read_image(tmp_path / f"gt{i:03d}.ppm"),
+                                     palette)
+        cm.add(truth, decode_gt_mask_int64(
+            read_image(pred / f"frame{i:03d}.ppm"), palette))
+        labels.append(truth.ravel())
+    want = build_report(cm, positive_class=1, scores=np.concatenate(scores),
+                        truth=np.concatenate(labels))
+    text = ":".join(",".join(str(v) for v in c) for c in palette)
+    assert cli.main(["eval", str(pred), str(manifest), "--scores-dir",
+                     str(pred), "--palette", text]) == 0
+    assert capsys.readouterr().out == json.dumps(want.to_dict(), indent=2) + "\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

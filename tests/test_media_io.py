@@ -13,6 +13,7 @@ from cwseg import (
     decode_gt_mask,
     gen_weights,
     layer_specs,
+    palette_hits,
     parse_palette,
     read_image,
     read_manifest,
@@ -99,7 +100,11 @@ def test_pnm_round_trip_random_payloads(seed, rgb, tmp_path_factory):
     px = rng.integers(0, 256, shape).astype(np.uint8)
     path = tmp_path_factory.mktemp("pnm") / "x.pnm"
     write_pnm(path, px)
-    np.testing.assert_array_equal(read_pnm(path), px)
+    got = read_pnm(path)
+    np.testing.assert_array_equal(got, px)
+    # The payload is parsed from a read-only view of the file's bytes; the
+    # caller still gets its own array.
+    assert got.flags.writeable and got.flags.owndata
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 9), (1, 1, 3), (6, 11, 3),
@@ -173,11 +178,11 @@ _BYTE = st.integers(0, 255)
 
 @st.composite
 def _mask_images(draw):
-    """A palette and a (3, H, W) image whose pixels are palette colours,
-    other byte colours as ``read_image`` scales them, or any float32 in
-    [-2, 2] (its colour stays within the int64 range)."""
+    """A palette of 1 to 8 colours and a (3, H, W) image whose pixels are
+    palette colours, other byte colours as ``read_image`` scales them, or
+    any float32 in [-2, 2] (its colour stays within the int64 range)."""
     palette = draw(st.lists(st.tuples(_BYTE, _BYTE, _BYTE), min_size=1,
-                            max_size=4, unique=True))
+                            max_size=8, unique=True))
     channel = st.one_of(_BYTE.map(lambda v: np.float32(v) / np.float32(255)),
                         st.floats(-2, 2, width=32))
     pixel = st.one_of(
@@ -204,6 +209,47 @@ def test_decode_gt_mask_matches_int64_decode(case):
         got = decode_gt_mask(image, palette)
         assert got.dtype == np.int64
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(case=_mask_images())
+def test_palette_hits_errors_and_labels_match_decode_gt_mask(case):
+    image, palette = case
+    try:
+        want = decode_gt_mask(image, palette)
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as got:
+            palette_hits(image, palette)
+        assert str(got.value) == str(exc)
+    else:
+        hits = palette_hits(image, palette)
+        assert hits.dtype == bool
+        assert hits.shape == (len(palette),) + want.shape
+        for index, hit in enumerate(hits):
+            assert hit.tobytes() == (want == index).tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 2, 4])
+def test_palette_hits_non_rgb_error_matches_decode_gt_mask(channels):
+    image = np.zeros((channels, 2, 3), dtype=np.float32)
+    with pytest.raises(ShapeError) as want:
+        decode_gt_mask(image, DEFAULT_PALETTE)
+    with pytest.raises(ShapeError) as got:
+        palette_hits(image, DEFAULT_PALETTE)
+    assert str(got.value) == str(want.value) == (
+        f"mask image must be RGB (3 channels), got {channels}")
+
+
+def test_repeated_palette_colour_takes_its_last_index():
+    img = rgb_tensor([[(255, 0, 255), (0, 0, 0), (255, 0, 255)]])
+    palette = ((255, 0, 255), (0, 0, 0), (255, 0, 255))
+    hits = palette_hits(img, palette)
+    assert [h.tolist() for h in hits] == [[[False] * 3],
+                                          [[False, True, False]],
+                                          [[True, False, True]]]
+    assert decode_gt_mask(img, palette).tolist() == [[2, 1, 2]]
+    assert decode_gt_mask(img, palette).tolist() == \
+        decode_gt_mask_int64(img, palette).tolist()
 
 
 @given(case=_mask_images(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),

@@ -12,12 +12,14 @@ from cwseg import (
     ShapeError,
     average_precision,
     build_report,
+    palette_hits,
 )
 from cwseg.metrics import pooled_average_precision, split_scores
 from oracles import (
     average_precision_argsort,
     average_precision_oracle,
     confusion_add_astype,
+    decode_gt_mask_int64,
     segmentation_metrics_oracle,
 )
 
@@ -177,6 +179,68 @@ def test_add_equals_astype_version(data):
         assert got_exc is None and np.array_equal(got, want)
     else:
         assert str(got_exc) == str(want_exc)
+
+
+# Both sides of add_hits' rule: pairwise counts up to 4 classes, one
+# bincount above.
+_CLASSES = st.integers(2, 8)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_add_hits_equals_add_over_pixels_in_a_mask(data):
+    """Disjoint hit masks, with pixels in none of a side's masks (label
+    -1), count as ``add`` over the pixels in a mask on both sides."""
+    n = data.draw(_CLASSES)
+    h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    labels = st.lists(st.integers(-1, n - 1), min_size=h * w, max_size=h * w)
+    truth = np.array(data.draw(labels)).reshape(h, w)
+    pred = np.array(data.draw(labels)).reshape(h, w)
+    kept = (truth >= 0) & (pred >= 0)
+    want = ConfusionMatrix(n).add(truth[kept], pred[kept]).counts
+    got = ConfusionMatrix(n).add_hits([truth == i for i in range(n)],
+                                      [pred == j for j in range(n)]).counts
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@st.composite
+def _palette_mask_pair(draw):
+    """A palette of 2 to 8 colours and two (3, H, W) images of its colours,
+    scaled as ``read_image`` scales them."""
+    byte = st.integers(0, 255)
+    palette = draw(st.lists(st.tuples(byte, byte, byte), min_size=2,
+                            max_size=8, unique=True))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lut = np.array(palette, dtype=np.float32) / np.float32(255.0)
+    images = []
+    for _ in range(2):
+        labels = draw(st.lists(st.integers(0, len(palette) - 1),
+                               min_size=h * w, max_size=h * w))
+        images.append(np.ascontiguousarray(
+            lut[np.array(labels).reshape(h, w)].transpose(2, 0, 1)))
+    return tuple(palette), images
+
+
+@settings(max_examples=200)
+@given(case=_palette_mask_pair())
+def test_add_hits_of_palette_hits_equals_add_of_int64_decode(case):
+    palette, (a, b) = case
+    n = len(palette)
+    want = ConfusionMatrix(n).add(decode_gt_mask_int64(a, palette),
+                                  decode_gt_mask_int64(b, palette)).counts
+    got = ConfusionMatrix(n).add_hits(palette_hits(a, palette),
+                                      palette_hits(b, palette)).counts
+    assert got.tolist() == want.tolist()
+
+
+def test_add_hits_validation():
+    masks = [np.zeros((2, 2), bool), np.ones((2, 2), bool)]
+    with pytest.raises(ShapeError, match="need 2 masks per side"):
+        ConfusionMatrix(2).add_hits(masks, masks[:1])
+    with pytest.raises(ShapeError, match="differ in shape"):
+        ConfusionMatrix(2).add_hits(masks, [np.zeros((2, 3), bool)] * 2)
+    with pytest.raises(ShapeError, match="differ in shape"):
+        ConfusionMatrix(2).add_hits([masks[0], np.ones(4, bool)], masks)
 
 
 @settings(max_examples=100)
