@@ -266,8 +266,13 @@ def cmd_eval(args) -> int:
                 f"missing prediction for frame '{frame_path.stem}': {pred_path}"
             )
         truth_hits = _mask_hits(truth_path, palette)
-        cm = ConfusionMatrix(num_classes).add_hits(
-            truth_hits, _mask_hits(pred_path, palette))
+        pred_hits = _mask_hits(pred_path, palette)
+        if pred_hits.shape != truth_hits.shape:
+            raise ShapeError(
+                f"{pred_path}: pred shape {pred_hits.shape[1:]} != truth "
+                f"shape {truth_hits.shape[1:]} of {truth_path}"
+            )
+        cm = ConfusionMatrix(num_classes).add_hits(truth_hits, pred_hits)
         if scores_dir is None:
             return cm, None
         scores_path = scores_dir / f"{frame_path.stem}.scores.cwf"

@@ -28,25 +28,26 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 # Largest class count whose hit masks ``ConfusionMatrix.add_hits`` counts
-# pair by pair.
-_PAIRWISE_CLASSES = 4
+# pair by pair: at 256x512 the n² passes beat ``add`` of the two index maps
+# up to 6 classes, tie at 7 and lose above.
+_PAIRWISE_CLASSES = 6
 
 
-def index_map(masks: Sequence[np.ndarray], first: int = 0) -> np.ndarray:
-    """The map holding ``first + i`` at the pixels of ``masks[i]`` and 0 at
-    pixels in no mask, in the narrowest unsigned dtype that holds it.
+def index_map(masks: Sequence[np.ndarray]) -> np.ndarray:
+    """The map holding ``i`` at the pixels of ``masks[i]``, in the narrowest
+    unsigned dtype that holds it.
 
-    The masks are boolean arrays of one shape, and no pixel is in two.
+    The masks are boolean arrays of one shape, and every pixel is in
+    exactly one of them.
     """
-    dtype = np.min_scalar_type(first + len(masks) - 1)
+    dtype = np.min_scalar_type(len(masks) - 1)
     out = np.zeros(np.shape(masks[0]), dtype=dtype)
     term = np.empty_like(out)
-    for i, mask in enumerate(masks):
-        if first + i:
-            # A boolean mask read as 0/1 bytes needs no cast loop.
-            np.multiply(np.asarray(mask, dtype=bool).view(np.uint8),
-                        dtype.type(first + i), out=term)
-            out += term
+    for i, mask in enumerate(masks[1:], 1):
+        # A boolean mask read as 0/1 bytes needs no cast loop.
+        np.multiply(np.asarray(mask, dtype=bool).view(np.uint8),
+                    dtype.type(i), out=term)
+        out += term
     return out
 
 
@@ -105,10 +106,10 @@ class ConfusionMatrix:
         """Accumulate one mask pair given as one boolean mask per class, as
         ``media_io.palette_hits`` returns them, in place.
 
-        No pixel may be in two masks of one side; a pixel in none is not
-        counted. Up to ``_PAIRWISE_CLASSES`` classes, each count is one
-        ``count_nonzero(t_i & p_j)``; above that, one ``bincount`` of a
-        narrow code map beats the n² passes.
+        Every pixel must be in exactly one mask of each side, as
+        ``palette_hits`` guarantees. Up to ``_PAIRWISE_CLASSES`` classes,
+        each count is one ``count_nonzero(t_i & p_j)``; above that, ``add``
+        of the two ``index_map``s beats the n² passes.
         """
         n = self.num_classes
         if len(truth_hits) != n or len(pred_hits) != n:
@@ -131,15 +132,7 @@ class ConfusionMatrix:
                     self.counts[i, j] += np.count_nonzero(
                         np.logical_and(t, p, out=both))
             return self
-        # Code (i + 1) * (n + 1) + (j + 1) for truth i and prediction j; a
-        # side's 0 means the pixel is in none of its masks.
-        wide = np.min_scalar_type((n + 1) ** 2 - 1)
-        code = np.multiply(index_map(truth_hits, 1), wide.type(n + 1),
-                           dtype=wide)
-        code += index_map(pred_hits, 1)
-        bins = np.bincount(code.ravel(), minlength=(n + 1) ** 2)
-        self.counts += bins.reshape(n + 1, n + 1)[1:, 1:]
-        return self
+        return self.add(index_map(truth_hits), index_map(pred_hits))
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if other.num_classes != self.num_classes:

@@ -312,10 +312,28 @@ def test_eval_gray_truth_mask_names_the_file(tmp_path):
         f"(3 channels), got 1\n")
 
 
+def test_eval_refuses_a_transposed_prediction(tmp_path):
+    """A prediction with the truth's pixel count but not its shape is an
+    error naming both files, not a raster-order pairing."""
+    manifest, pred = write_eval_inputs(tmp_path, [checkerboard(4, 6)] * 2,
+                                       [checkerboard(4, 6)] * 2)
+    write_mask(checkerboard(6, 4), DEFAULT_PALETTE, pred / "frame001.ppm")
+    proc = run_cli("eval", pred, manifest)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (
+        f"error: {pred / 'frame001.ppm'}: pred shape (6, 4) != truth shape "
+        f"(4, 6) of {tmp_path / 'gt001.ppm'}\n")
+
+
+_SIX_COLOURS = ((0, 0, 0), (255, 0, 255), (0, 128, 255), (255, 255, 0),
+                (9, 9, 9), (200, 100, 50))
+
+
+# Both sides of add_hits' rule: pairwise up to 6 classes, index maps above.
 @pytest.mark.parametrize("palette", [
     DEFAULT_PALETTE,
-    ((0, 0, 0), (255, 0, 255), (0, 128, 255), (255, 255, 0), (9, 9, 9),
-     (200, 100, 50)),
+    _SIX_COLOURS,
+    _SIX_COLOURS + ((1, 2, 3), (250, 250, 250)),
 ])
 def test_eval_report_equals_build_report_of_int64_labels(tmp_path, capsys,
                                                         palette):
