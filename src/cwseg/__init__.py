@@ -39,7 +39,6 @@ from .scheduler import (
     SkipPolicy,
     StageTrace,
     run_sequence,
-    should_fire,
     step,
 )
 from .metrics import (

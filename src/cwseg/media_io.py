@@ -425,19 +425,23 @@ def read_manifest(path) -> SequenceManifest:
     base = Path(path).parent
     frames: list[Path] = []
     truths: list[Path] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split()
-            if len(cols) > 2:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 1 or 2 columns, got {len(cols)}"
-                )
-            frames.append(base / cols[0])
-            if len(cols) == 2:
-                truths.append(base / cols[1])
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(
+                f"{path}:{lineno}: not valid UTF-8 at byte {exc.start}"
+            ) from None
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split()
+        if len(cols) > 2:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected 1 or 2 columns, got {len(cols)}"
+            )
+        frames.append(base / cols[0])
+        if len(cols) == 2:
+            truths.append(base / cols[1])
     if not frames:
         raise FileFormatError(f"{path}: manifest lists no frames")
     if truths and len(truths) != len(frames):

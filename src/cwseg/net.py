@@ -75,7 +75,6 @@ class NetConfig:
 
 class LayerSpec(NamedTuple):
     name: str
-    stage: StageId
     in_channels: int
     out_channels: int
     kernel: int
@@ -85,22 +84,21 @@ class LayerSpec(NamedTuple):
 def layer_specs(cfg: NetConfig) -> tuple[LayerSpec, ...]:
     """The fixed layer list, widths derived from ``cfg.base_width``."""
     w, c = cfg.base_width, cfg.num_classes
-    s1, s2, s3 = StageId.STAGE1, StageId.STAGE2, StageId.STAGE3
     return (
-        LayerSpec("conv1_1", s1, cfg.in_channels, w, 3, 1),
-        LayerSpec("conv1_2", s1, w, w, 3, 1),
-        LayerSpec("conv2_1", s1, w, 2 * w, 3, 1),
-        LayerSpec("conv2_2", s1, 2 * w, 2 * w, 3, 1),
-        LayerSpec("conv3_1", s1, 2 * w, 4 * w, 3, 1),
-        LayerSpec("conv3_2", s1, 4 * w, 4 * w, 3, 1),
-        LayerSpec("score_pool3", s1, 4 * w, c, 1, 0),
-        LayerSpec("conv4_1", s2, 4 * w, 8 * w, 3, 1),
-        LayerSpec("conv4_2", s2, 8 * w, 8 * w, 3, 1),
-        LayerSpec("score_pool4", s2, 8 * w, c, 1, 0),
-        LayerSpec("conv5_1", s3, 8 * w, 8 * w, 3, 1),
+        LayerSpec("conv1_1", cfg.in_channels, w, 3, 1),
+        LayerSpec("conv1_2", w, w, 3, 1),
+        LayerSpec("conv2_1", w, 2 * w, 3, 1),
+        LayerSpec("conv2_2", 2 * w, 2 * w, 3, 1),
+        LayerSpec("conv3_1", 2 * w, 4 * w, 3, 1),
+        LayerSpec("conv3_2", 4 * w, 4 * w, 3, 1),
+        LayerSpec("score_pool3", 4 * w, c, 1, 0),
+        LayerSpec("conv4_1", 4 * w, 8 * w, 3, 1),
+        LayerSpec("conv4_2", 8 * w, 8 * w, 3, 1),
+        LayerSpec("score_pool4", 8 * w, c, 1, 0),
+        LayerSpec("conv5_1", 8 * w, 8 * w, 3, 1),
         # fc6-like wide classifier conv; the bulk of stage-3 compute
-        LayerSpec("conv5_2", s3, 8 * w, 32 * w, 7, 3),
-        LayerSpec("score_fr", s3, 32 * w, c, 1, 0),
+        LayerSpec("conv5_2", 8 * w, 32 * w, 7, 3),
+        LayerSpec("score_fr", 32 * w, c, 1, 0),
     )
 
 

@@ -1,18 +1,14 @@
 """Clockwork scheduling: per-frame decisions about which network stages run,
 persistence of deep scores across frames, and execution traces.
 
-Firing rules. Frame 0 always runs everything. Afterwards:
-
-* ``Always``     - all three stages, every frame (the oracle arm).
-* ``Fixed``      - stage 2 fires when ``index % period2 == 0``; stage 3 when
-                   ``index % period3 == 0`` and stage 2 fired (prefix rule).
-* ``Adaptive``   - stage 2 always fires (its output is the change signal);
-                   stage 3 fires when ``change > theta``, where change is the
-                   mean absolute difference between the fresh score_pool4 and
-                   ``prev_score``, the copy saved at the last stage-3 firing.
-
-The comparison is strict, so a huge theta means "never refire" and a negative
-theta means "fire every frame" exactly. Stage 1 is never gated.
+Each schedule states its own firing rule for the frames after frame 0,
+which always runs everything; stage 1 is never gated. Stage 3 reads stage 2's
+pool4 features, so a schedule fires stage 3 only where stage 2 fires (the
+prefix rule). ``Adaptive`` runs stage 2 on every frame because its
+score_pool4 is the change signal: the mean absolute difference from
+``prev_score``, the copy saved at the last stage-3 firing. That comparison
+is strict, so a huge theta means "never refire" and a negative theta means
+"fire every frame" exactly.
 
 When stage 3 is skipped the skip policy decides the output: ``ReuseFinal``
 returns the mask of the cached final scores unchanged; ``FuseCachedDeep``
@@ -50,6 +46,12 @@ from .tensor_ops import Tensor, mean_abs_diff
 class Always:
     """Every stage, every frame."""
 
+    def stage2(self, index: int) -> bool:
+        return True
+
+    def stage3(self, index: int, change: Optional[float]) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Fixed:
@@ -62,6 +64,12 @@ class Fixed:
         for name, v in (("period2", self.period2), ("period3", self.period3)):
             if not isinstance(v, int) or v < 1:
                 raise ContractError(f"{name} must be an integer >= 1, got {v!r}")
+
+    def stage2(self, index: int) -> bool:
+        return index % self.period2 == 0
+
+    def stage3(self, index: int, change: Optional[float]) -> bool:
+        return self.stage2(index) and index % self.period3 == 0
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,16 @@ class Adaptive:
         if math.isnan(self.theta):
             raise ContractError("theta must not be NaN")
 
+    def stage2(self, index: int) -> bool:
+        return True
 
+    def stage3(self, index: int, change: float) -> bool:
+        return change > self.theta
+
+
+# Past frame 0, ``step`` runs stage 2 where ``stage2(index)`` holds and
+# stage 3 where ``stage3(index, change)`` does; ``change`` is None except
+# under ``Adaptive``.
 ClockSchedule = Union[Always, Fixed, Adaptive]
 
 
@@ -130,8 +147,9 @@ class StageTrace:
     """Per-frame execution record.
 
     ``elapsed`` is the frame's ``WorkCounter.seconds``, with keys only for
-    the parts that ran; ``convs``/``macs`` count convolution work per stage
-    label. ``change`` is None except in adaptive mode past frame 0.
+    the parts that ran, and ``fired`` is the stages among them;
+    ``convs``/``macs`` count convolution work per stage label. ``change``
+    is None except in adaptive mode past frame 0.
     """
 
     frame_index: int
@@ -140,37 +158,6 @@ class StageTrace:
     elapsed: dict[str, float]
     convs: dict[str, int]
     macs: dict[str, int]
-
-
-def should_fire(schedule: ClockSchedule, frame_index: int,
-                change: Optional[float] = None) -> frozenset[StageId]:
-    """The set of stages that fire on ``frame_index`` under ``schedule``.
-
-    ``change`` is required exactly when the schedule is adaptive and
-    frame_index > 0.
-    """
-    if frame_index < 0:
-        raise ContractError(f"frame_index must be >= 0, got {frame_index}")
-    all_stages = frozenset((StageId.STAGE1, StageId.STAGE2, StageId.STAGE3))
-    if frame_index == 0 or isinstance(schedule, Always):
-        return all_stages
-    if isinstance(schedule, Fixed):
-        fired = {StageId.STAGE1}
-        if frame_index % schedule.period2 == 0:
-            fired.add(StageId.STAGE2)
-            if frame_index % schedule.period3 == 0:
-                fired.add(StageId.STAGE3)
-        return frozenset(fired)
-    if isinstance(schedule, Adaptive):
-        if change is None:
-            raise ContractError(
-                "adaptive scheduling needs a change value past frame 0"
-            )
-        fired = {StageId.STAGE1, StageId.STAGE2}
-        if change > schedule.theta:
-            fired.add(StageId.STAGE3)
-        return frozenset(fired)
-    raise ContractError(f"unknown schedule {schedule!r}")
 
 
 def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
@@ -191,19 +178,15 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
         frame = _time_stage1(net, frame)
     pool3, score_pool3, work = frame.pool3, frame.score_pool3, frame.work
 
-    # Firing only grows with the change, so at infinite change should_fire
-    # names every stage that can fire on this frame. Stage 2 runs before the
-    # decision: its score_pool4 is the adaptive change signal.
-    if StageId.STAGE2 in should_fire(schedule, index, math.inf):
+    if state is None or schedule.stage2(index):
         pool4, score_pool4 = work.timed("stage2", run_stage2, net, pool3, work)
     else:
         pool4, score_pool4 = None, state.cached_score_pool4
     change: Optional[float] = None
-    if isinstance(schedule, Adaptive) and index > 0:
+    if isinstance(schedule, Adaptive) and state is not None:
         change = mean_abs_diff(score_pool4, state.prev_score)
-    fired = should_fire(schedule, index, change)
 
-    deep = StageId.STAGE3 in fired
+    deep = state is None or schedule.stage3(index, change)
     if deep:
         score_fr = work.timed("stage3", run_stage3, net, pool4, work)
     else:
@@ -224,7 +207,7 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
 
     trace = StageTrace(
         frame_index=index,
-        fired=fired,
+        fired=frozenset(s for s in StageId if s.label in work.seconds),
         change=change,
         elapsed=work.seconds,
         convs=work.stage_convs(),

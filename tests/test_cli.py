@@ -432,6 +432,20 @@ def test_weight_entry_of_wrong_rank_exits_4(tmp_path, weights_file, command,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["segment", "eval", "bench"])
+def test_manifest_not_utf8_exits_3(tmp_path, weights_file, command):
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(b"# frames\nf\xff.ppm\n")
+    args = {"segment": ("segment", manifest, "--weights", weights_file,
+                        "--out", tmp_path / "o"),
+            "eval": ("eval", tmp_path, manifest),
+            "bench": ("bench", manifest, "--weights", weights_file)}[command]
+    proc = run_cli(*args)
+    assert proc.returncode == 3, proc.stderr
+    assert f"{manifest}:2: not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bench_always_work_ratio_is_one(tmp_path, weights_file):
     manifest = write_frames(tmp_path, random_frames(9, 3))
     proc = run_cli("bench", manifest, "--weights", weights_file,

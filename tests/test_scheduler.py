@@ -14,9 +14,9 @@ from cwseg import (
     SkipPolicy,
     StageId,
     argmax_mask,
+    layer_specs,
     mean_abs_diff,
     run_sequence,
-    should_fire,
     step,
 )
 from cwseg.scheduler import _time_stage1
@@ -34,28 +34,31 @@ ALL = frozenset((S1, S2, S3))
 
 
 # ---------------------------------------------------------------------------
-# should_fire
+# firing rules: each schedule's stage2/stage3, for frames after frame 0
 
 
 def test_frame_zero_fires_everything():
-    for schedule in (Always(), Fixed(3, 5), Adaptive(0.5)):
-        assert should_fire(schedule, 0) == ALL
+    frames = random_frames(5, 2)
+    for schedule in (Always(), Fixed(3, 5), Adaptive(1e9)):
+        for policy in SkipPolicy:
+            _, traces = run_sequence(tiny_net(), schedule, policy, frames)
+            assert traces[0].fired == ALL
+            assert traces[0].change is None
 
 
 def test_fixed_2_4_pattern_over_8_frames():
-    fired2 = [i for i in range(8) if S2 in should_fire(Fixed(2, 4), i)]
-    fired3 = [i for i in range(8) if S3 in should_fire(Fixed(2, 4), i)]
-    assert fired2 == [0, 2, 4, 6]
-    assert fired3 == [0, 4]
+    fixed = Fixed(2, 4)
+    assert [i for i in range(1, 8) if fixed.stage2(i)] == [2, 4, 6]
+    assert [i for i in range(1, 8) if fixed.stage3(i, None)] == [4]
 
 
 def test_adaptive_rules():
-    assert should_fire(Adaptive(0.5), 3, change=0.1) == frozenset((S1, S2))
-    assert should_fire(Adaptive(0.5), 3, change=0.6) == ALL
+    adaptive = Adaptive(0.5)
+    assert adaptive.stage2(3)
+    assert not adaptive.stage3(3, 0.1)
+    assert adaptive.stage3(3, 0.6)
     # strict comparison: change equal to theta does not fire
-    assert should_fire(Adaptive(0.5), 3, change=0.5) == frozenset((S1, S2))
-    with pytest.raises(ContractError, match="change"):
-        should_fire(Adaptive(0.5), 1)
+    assert not adaptive.stage3(3, 0.5)
 
 
 def test_schedule_validation():
@@ -65,8 +68,6 @@ def test_schedule_validation():
         Fixed(2, 0)
     with pytest.raises(ContractError):
         Adaptive(float("nan"))
-    with pytest.raises(ContractError):
-        should_fire(Always(), -1)
     Adaptive(-1.0)  # negative theta is the always-fire switch
 
 
@@ -76,22 +77,80 @@ def test_schedule_validation():
     p2=st.integers(1, 6),
     p3=st.integers(1, 6),
     theta=st.floats(-1, 1, allow_nan=False),
-    index=st.integers(0, 50),
+    index=st.integers(1, 50),
     change=st.floats(0, 2, allow_nan=False),
 )
 def test_prefix_rule(kind, p2, p3, theta, index, change):
-    if kind == "always":
-        schedule = Always()
-        fired = should_fire(schedule, index)
-    elif kind == "fixed":
-        schedule = Fixed(p2, p3)
-        fired = should_fire(schedule, index)
-    else:
-        schedule = Adaptive(theta)
-        fired = should_fire(schedule, index, change=change)
-    assert S1 in fired
-    if S3 in fired:
-        assert S2 in fired
+    """Stage 3 reads stage 2's features: ``stage3`` implies ``stage2``."""
+    schedule = {"always": Always(), "fixed": Fixed(p2, p3),
+                "adaptive": Adaptive(theta)}[kind]
+    if schedule.stage3(index, change):
+        assert schedule.stage2(index)
+
+
+# Each layer's stage and the stride of its output, stated apart from the
+# net's code so that the expected MACs below do not come from it.
+_LAYER_STAGE_STRIDE = {
+    "conv1_1": (1, 1), "conv1_2": (1, 1), "conv2_1": (1, 2), "conv2_2": (1, 2),
+    "conv3_1": (1, 4), "conv3_2": (1, 4), "score_pool3": (1, 8),
+    "conv4_1": (2, 8), "conv4_2": (2, 8), "score_pool4": (2, 16),
+    "conv5_1": (3, 16), "conv5_2": (3, 16), "score_fr": (3, 32),
+}
+
+
+def _expected_table(net, schedule, frames):
+    """(fired, change) of each frame: frame 0 fires all; past it, index
+    arithmetic for Always and Fixed, and for Adaptive ``change > theta`` on
+    the change from full_forward's score_pool4 at the last stage-3 firing."""
+    pool4 = [full_forward(net, f).score_pool4 for f in frames]
+    rows, ref = [], None
+    for i, score_pool4 in enumerate(pool4):
+        change = None
+        if i == 0 or isinstance(schedule, Always):
+            fired = {1, 2, 3}
+        elif isinstance(schedule, Fixed):
+            fired = {1}
+            if i % schedule.period2 == 0:
+                fired.add(2)
+                if i % schedule.period3 == 0:
+                    fired.add(3)
+        else:
+            change = mean_abs_diff(score_pool4, ref)
+            fired = {1, 2, 3} if change > schedule.theta else {1, 2}
+        if 3 in fired:
+            ref = score_pool4
+        rows.append((fired, change))
+    return rows
+
+
+@pytest.mark.parametrize("schedule", [
+    Always(), Fixed(2, 4), Fixed(2, 3), Fixed(3, 1),
+    Adaptive(-1.0), Adaptive(0.002), Adaptive(1e9),
+])
+@pytest.mark.parametrize("policy", list(SkipPolicy))
+def test_traces_equal_independent_firing_table(schedule, policy):
+    net = tiny_net()
+    cfg = net.cfg
+    frames = fixed_sequence()
+    stage_convs = {s: 0 for s in (1, 2, 3)}
+    stage_macs = {s: 0 for s in (1, 2, 3)}
+    for spec in layer_specs(cfg):
+        stage, stride = _LAYER_STAGE_STRIDE[spec.name]
+        stage_convs[stage] += 1
+        stage_macs[stage] += ((cfg.height // stride) * (cfg.width // stride)
+                              * spec.out_channels * spec.in_channels
+                              * spec.kernel ** 2)
+    _, traces = run_sequence(net, schedule, policy, frames)
+    table = _expected_table(net, schedule, frames)
+    assert [t.frame_index for t in traces] == list(range(len(frames)))
+    for t, (fired, change) in zip(traces, table):
+        assert {int(s) for s in t.fired} == fired, t.frame_index
+        assert t.change == change
+        assert t.convs == {f"stage{s}": stage_convs[s] for s in sorted(fired)}
+        assert t.macs == {f"stage{s}": stage_macs[s] for s in sorted(fired)}
+    if isinstance(schedule, Adaptive) and schedule.theta == 0.002:
+        # the sequence exercises both outcomes of the comparison
+        assert 1 < sum(3 in fired for fired, _ in table) < len(frames)
 
 
 # ---------------------------------------------------------------------------
