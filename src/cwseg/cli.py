@@ -57,6 +57,11 @@ from .scheduler import (
 )
 from .tensor_ops import help_until
 
+try:
+    import resource
+except ImportError:  # platforms without getrusage
+    resource = None
+
 _STAGE_LABELS = tuple(s.label for s in StageId)
 
 
@@ -144,20 +149,26 @@ def _read_stage1(net: StagedNet, frame_path) -> _Stage1Result:
 
 
 def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
-                frame_paths, first: list, emit) -> None:
+                frame_paths, first: list, emit) -> list[float]:
     """Run every frame through ``step`` and call ``emit(index, mask, trace,
-    scores)`` once per frame, in order.
+    scores)`` once per frame, in order. Returns ``perf_counter`` marks: the
+    start of frame 0's ``step``, then the end of each ``emit``.
 
     ``first`` is a one-element list holding frame 0, decoded; the loop pops
     it. One helper thread decodes frame k+1 and runs its stage 1 while this
-    thread runs the rest of frame k and its ``emit``, then helps with the
-    stage-1 conv bands still open (``tensor_ops.help_until``) instead of
-    idling; it is never more than one frame ahead, and it is joined before
-    this returns or raises. Masks and score maps are the same bytes as in
-    the serial ``run_sequence``, and a frame that fails raises at its own
-    turn, after every earlier frame's ``emit``.
+    thread runs the rest of frame k and its ``emit``. The two threads share
+    conv bands both ways: this thread, once done with frame k, runs the
+    stage-1 bands still open (``tensor_ops.help_until``) instead of idling,
+    and the helper, between bands of its own, runs the open bands of frame
+    k's stage-3 convolutions (``step`` runs stage 3 inside
+    ``tensor_ops.priority``), so a frame that fires stage 3 is not left to
+    one thread. The helper is never more than one frame ahead, and it is
+    joined before this returns or raises. Masks and score maps are the same
+    bytes as in the serial ``run_sequence``, and a frame that fails raises
+    at its own turn, after every earlier frame's ``emit``.
     """
     state = None
+    marks = [time.perf_counter()]
     with ThreadPoolExecutor(max_workers=1) as helper:
         for index in range(len(frame_paths)):
             if index == 0:
@@ -175,8 +186,30 @@ def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
             if index == 0 and len(frame_paths) > 1:
                 ahead = helper.submit(_read_stage1, net, frame_paths[1])
             emit(index, mask, trace, scores)
+            marks.append(time.perf_counter())
             # Hold no frame-sized array into the next frame's step.
             del frame, mask, scores
+    return marks
+
+
+def _percentile(values, q: float) -> float:
+    """The ``q``-th percentile of ``values``, interpolated linearly between
+    the two nearest ranks as ``np.percentile`` does by default. Not
+    ``np.percentile`` itself: its first call in a process raised
+    ``segment``'s peak RSS by 1.1 MB at 64x64."""
+    ranked = sorted(values)
+    pos = (len(ranked) - 1) * q / 100
+    lo = int(pos)
+    hi = min(lo + 1, len(ranked) - 1)
+    return ranked[lo] + (ranked[hi] - ranked[lo]) * (pos - lo)
+
+
+def _minor_faults() -> Optional[int]:
+    """This process's minor page faults so far, or None without
+    ``resource``."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def cmd_segment(args) -> int:
@@ -205,17 +238,27 @@ def cmd_segment(args) -> int:
             write_weights({"scores": scores}, out_dir / f"{stem}.scores.cwf")
         traces.append(trace)
 
-    _run_frames(net, schedule, policy, frames, first, emit)
+    faults = _minor_faults()
+    marks = _run_frames(net, schedule, policy, frames, first, emit)
+    if faults is not None:
+        faults = (_minor_faults() - faults) / len(frames)
     trace_path.write_text(
         "".join(json.dumps(_trace_record(t, frames[t.frame_index])) + "\n"
                 for t in traces),
         encoding="utf-8")
 
+    # The frame rate and the intervals between emits, as perfbench derives
+    # them: from the start of frame 0's step to the end of the last emit.
+    intervals_ms = [1e3 * (b - a) for a, b in zip(marks, marks[1:])]
     summary = {
         "frames": len(frames),
         "out_dir": str(out_dir),
         "trace": str(trace_path),
         "firings": _firing_counts(traces),
+        "fps": len(frames) / (marks[-1] - marks[0]),
+        "frame_ms_p50": _percentile(intervals_ms, 50),
+        "frame_ms_p90": _percentile(intervals_ms, 90),
+        "minor_faults_per_frame": faults,
     }
     print(json.dumps(summary, indent=2))
     return 0
@@ -351,10 +394,10 @@ def cmd_bench(args) -> int:
         for _ in range(args.repeat):
             if not first:
                 first.append(read_image(frames[0]))
-            t0 = time.perf_counter()
-            _run_frames(net, arm_schedule, policy, frames, first,
-                        lambda index, mask, trace, scores: traces.append(trace))
-            wall += time.perf_counter() - t0
+            marks = _run_frames(
+                net, arm_schedule, policy, frames, first,
+                lambda index, mask, trace, scores: traces.append(trace))
+            wall += marks[-1] - marks[0]
         return _arm_report(wall, traces)
 
     full = run_arm(Always())

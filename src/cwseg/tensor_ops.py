@@ -9,7 +9,11 @@ freely across threads. Tensors are checked where they enter the package
 (frames, weight stores, ``conv2d`` and ``maxpool2d``); the elementwise
 kernels check only that their shapes agree.
 
-``conv2d``'s docstring gives the banding and thread-sharing rules.
+``conv2d``'s docstring gives the banding and thread-sharing rules. Calls
+made inside :func:`priority` (``segment``'s stage 3) are served first: any
+other ``conv2d`` call, before each band of its own, runs their unclaimed
+bands, so in ``segment`` the helper's stage 1 yields to the main thread's
+stage 3 and a frame that fires it is not left to one thread.
 
 What limits ``segment``'s two threads depends on the frame size. At 64x64
 most calls here are small, so much of a frame is interpreter work, which
@@ -19,7 +23,8 @@ kernels keep it small: ``conv2d`` builds its patch view directly, zeroes only
 the padding a band reads and does not touch the board for a call of one
 band, and ``upsample_bilinear`` computes each axis's coordinates once per
 shape. At 256x512 the time goes to matrix products and copies that release
-the GIL, and the helper thread's stage 1 is the floor.
+the GIL, and the helper thread's stage 1 is the floor on frames that skip
+stage 3.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import functools
 import itertools
 import threading
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -120,7 +126,9 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
     The call posts its bands on a board (unless it has only one) and runs
     them itself, one claim at a time; a thread blocked in
-    :func:`help_until` may claim some of them.
+    :func:`help_until` may claim some of them, and so may another thread's
+    call between two of its own bands if this call was made inside
+    :func:`priority`.
     Each thread runs its bands in buffers of its own, and the band layout is
     fixed by the layer and the input shape alone, so a band's GEMM has the
     same shape and operands whichever thread runs it: the bits cannot
@@ -143,7 +151,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     call = _ConvCall(x, p, oh, ow)
     if call.posted:
         with _board:
-            _open_calls.append(call)
+            call.queue.append(call)
             _board.notify_all()
     call.run_bands(owner=True)
     if call.error is not None:
@@ -158,9 +166,11 @@ def help_until(future: Future) -> None:
     """Run bands of open ``conv2d`` calls until ``future`` is done.
 
     For a thread that would otherwise block on ``future`` while the thread
-    computing it runs convolutions. Wakes when a call is posted or the
-    future completes. A band's exception goes to the ``conv2d`` call that
-    owns the band, never to this thread.
+    computing it runs convolutions (in ``segment``, the main thread waiting
+    for the helper's stage 1). Wakes when a call is posted or the future
+    completes, and takes calls made inside :func:`priority` first. A band's
+    exception goes to the ``conv2d`` call that owns the band, never to this
+    thread.
     """
     def wake(_):
         with _board:
@@ -169,19 +179,56 @@ def help_until(future: Future) -> None:
     future.add_done_callback(wake)
     while True:
         with _board:
-            _board.wait_for(lambda: future.done() or _open_calls)
+            _board.wait_for(
+                lambda: future.done() or _priority_calls or _open_calls)
             if future.done():
                 return
-            call = _open_calls[0]
+            call = (_priority_calls or _open_calls)[0]
         call.run_bands()
         # Keep no finished call's input and output alive while waiting.
         del call
 
 
-# conv2d calls with bands not yet claimed, oldest first. ``_board`` guards
-# it and each call's finished-band count; it is notified when a call is
-# posted, when a helping thread finishes a call's last band and when a
-# future that ``help_until`` waits on completes.
+class _Role(threading.local):
+    """Per thread: whether its calls are made inside ``priority``."""
+
+    priority = False
+
+
+_role = _Role()
+
+
+@contextmanager
+def priority():
+    """Have the calling thread's ``conv2d`` calls served first.
+
+    While such a call has unclaimed bands, every other ``conv2d`` call runs
+    them before each band of its own. Bits do not change (see ``conv2d``).
+    """
+    outer, _role.priority = _role.priority, True
+    try:
+        yield
+    finally:
+        _role.priority = outer
+
+
+def _serve_priority_calls() -> None:
+    """Run the unclaimed bands of open priority calls, oldest first, until
+    none is open."""
+    while True:
+        with _board:
+            if not _priority_calls:
+                return
+            call = _priority_calls[0]
+        call.run_bands()
+
+
+# conv2d calls with bands not yet claimed, oldest first: those made inside
+# ``priority`` in ``_priority_calls``, the others in ``_open_calls``.
+# ``_board`` guards both and each call's finished-band count; it is notified
+# when a call is posted, when a helping thread finishes a call's last band
+# and when a future that ``help_until`` waits on completes.
+_priority_calls: deque = deque()
 _open_calls: deque = deque()
 _board = threading.Condition()
 
@@ -206,11 +253,18 @@ class _ConvCall:
         # A call of one band is not posted: no other thread could share it,
         # and waking one costs more than the band.
         self.posted = len(self.starts) > 1
+        self.queue = _priority_calls if _role.priority else _open_calls
         # Views of the float64 arrays ConvParams holds: no per-call cast.
         self.w64 = p.weights.reshape(p.out_channels, self.k)
         self.b64 = p.bias[:, None]
         self.out = np.empty((p.out_channels, oh, ow), dtype=np.float32)
         self.claims = itertools.count()
+        # The first other thread to run bands of a priority call uses
+        # buffers its owner allocated here. A thread that serves the call
+        # between bands of its own would allocate them at its heap's high
+        # point and grow it: peak RSS rose by 3 MB at 256x512.
+        self.spares = ([self._buffers()]
+                       if self.posted and self.queue is _priority_calls else [])
         self.finished = 0
         self.error: BaseException | None = None
 
@@ -218,16 +272,24 @@ class _ConvCall:
         """Claim and run bands until none is left unclaimed; the owner then
         also waits for the bands other threads are still running.
 
-        The calling thread allocates its buffers on its first band and drops
-        them on return. A band's exception is kept for the owning ``conv2d``
-        call to raise.
+        The calling thread allocates its buffers on its first band (or takes
+        the owner's spare ones) and drops them on return. A band's exception
+        is kept for the owning ``conv2d`` call to raise. The owner of a call
+        made outside ``priority`` first serves the open priority calls
+        before each claim.
         """
         bufs = full = error = None
         done, n = 0, len(self.starts)
-        while (i := next(self.claims)) < n:
+        serve = owner and self.queue is _open_calls
+        while True:
+            # An unlocked peek: a call posted just after it waits one band.
+            if serve and _priority_calls:
+                _serve_priority_calls()
+            if (i := next(self.claims)) >= n:
+                break
             try:
                 if bufs is None:
-                    bufs = self._buffers()
+                    bufs = self._buffers() if owner else self._spare()
                     full = self._views(self.band_rows, bufs)
                 r0 = self.starts[i]
                 rows = min(self.band_rows, self.oh - r0)
@@ -241,14 +303,21 @@ class _ConvCall:
             self.error = error
             return
         with _board:
-            if self in _open_calls:
-                _open_calls.remove(self)
+            if self in self.queue:
+                self.queue.remove(self)
             self.error = self.error or error
             self.finished += done
             if owner:
                 _board.wait_for(lambda: self.finished == n)
             elif self.finished == n:
                 _board.notify_all()
+
+    def _spare(self):
+        """The owner's spare buffers, or new ones once they are taken."""
+        try:
+            return self.spares.pop()
+        except IndexError:
+            return self._buffers()
 
     def _buffers(self):
         """One thread's band buffers: padded input rows, im2col columns and

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,10 +80,40 @@ def test_segment_always_three_frames(tmp_path, weights_file):
     summary = json.loads(proc.stdout)
     assert summary["frames"] == 3
     assert summary["firings"] == {"stage1": 3, "stage2": 3, "stage3": 3}
+    assert summary["fps"] > 0
+    assert 0 < summary["frame_ms_p50"] <= summary["frame_ms_p90"]
+    assert summary["minor_faults_per_frame"] >= 0
     for i in range(3):
         assert (out / f"frame{i:03d}.ppm").exists()
     trace = read_trace(out)
     assert [t["fired"] for t in trace] == [[1, 2, 3]] * 3
+
+
+@pytest.mark.parametrize("has_resource", [True, False])
+def test_segment_summary_rates_from_emit_marks(tmp_path, capsys, monkeypatch,
+                                              weights_file, has_resource):
+    """fps and the interval percentiles come from the frame loop's marks:
+    frame 0's step start, then each emit's end (a scripted clock here);
+    faults per frame are null without ``resource``."""
+    manifest = write_frames(tmp_path, random_frames(5, 3))
+    clock = iter([0.0, 0.010, 0.030, 0.060])
+    monkeypatch.setattr(cli, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+    if not has_resource:
+        monkeypatch.setattr(cli, "resource", None)
+    assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
+                     "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert next(clock, None) is None
+    assert summary["fps"] == pytest.approx(3 / 0.060)
+    # Intervals 10, 20 and 30 ms, percentiles interpolated as numpy does.
+    assert summary["frame_ms_p50"] == pytest.approx(20.0)
+    assert summary["frame_ms_p90"] == pytest.approx(28.0)
+    faults = summary["minor_faults_per_frame"]
+    if has_resource:
+        assert isinstance(faults, float) and faults >= 0
+    else:
+        assert faults is None
 
 
 def test_adaptive_negative_theta_matches_always(tmp_path, weights_file):

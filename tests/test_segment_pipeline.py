@@ -5,6 +5,7 @@ and thread behaviour."""
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cwseg import (
     read_image,
     read_weights,
     run_sequence,
+    step,
     write_image,
     write_mask,
     write_weights,
@@ -52,10 +54,10 @@ def write_sequence(dirpath, frames):
     return manifest, [dirpath / n for n in names]
 
 
-def drift_then_cut(count=8, cut=4):
+def drift_then_cut(count=8, cut=4, shape=(3, 32, 32)):
     """Frames drifting slightly around one scene, then around another."""
     rng = np.random.default_rng(17)
-    a, b = random_frames(400, 2)
+    a, b = random_frames(400, 2, shape)
     frames = []
     for i in range(count):
         base = a if i < cut else b
@@ -92,20 +94,24 @@ def adaptive_at_cut(net, frames):
     return Adaptive((drift + mean_abs_diff(sp4[4], sp4[0])) / 2)
 
 
-@pytest.mark.parametrize("policy", list(SkipPolicy), ids=lambda p: p.value)
-@pytest.mark.parametrize("flags,schedule", SCHEDULES,
-                         ids=["always", "fixed", "adaptive"])
-def test_segment_matches_serial_run_sequence(tmp_path, capsys, weights,
-                                             flags, schedule, policy):
-    manifest, paths = write_sequence(tmp_path, drift_then_cut())
+def run_segment_against_serial(tmp_path, capsys, weights, frames_in,
+                               flags, schedule, policy):
+    """Run ``segment`` with score maps over ``frames_in`` and compare its
+    masks, score files and trace records byte for byte with the serial
+    ``run_sequence`` (score maps from folding ``step`` as it does). A None
+    ``schedule`` is adaptive with theta at the cut. Returns the traces."""
+    manifest, paths = write_sequence(tmp_path, frames_in)
     frames = [read_image(p) for p in paths]
-    net = build_net(CFG, read_weights(weights))
+    net = build_net(replace(CFG, height=frames[0].shape[1],
+                            width=frames[0].shape[2]), read_weights(weights))
     if schedule is None:
         schedule = adaptive_at_cut(net, frames)
         flags = flags + ["--theta", repr(schedule.theta)]
     masks, traces = run_sequence(net, schedule, policy, frames)
-    if isinstance(schedule, Adaptive):
-        assert [t.frame_index for t in traces if 3 in t.fired] == [0, 4]
+    state, scores = None, []
+    for frame in frames:
+        _, state, _, final = step(net, schedule, policy, state, frame)
+        scores.append(final)
 
     out = tmp_path / "out"
     assert segment([manifest, "--weights", weights, "--out", out,
@@ -116,17 +122,50 @@ def test_segment_matches_serial_run_sequence(tmp_path, capsys, weights,
     records = [json.loads(line) for line in
                (out / "trace.jsonl").read_text().splitlines()]
     assert len(records) == len(frames)
-    for path, mask, trace, rec in zip(paths, masks, traces, records):
+    for path, mask, final, trace, rec in zip(paths, masks, scores, traces,
+                                             records):
         want = tmp_path / f"want-{path.name}"
         write_mask(mask, DEFAULT_PALETTE, want)
         assert (out / path.name).read_bytes() == want.read_bytes()
-        scores = read_weights(out / f"{path.stem}.scores.cwf")["scores"]
-        assert np.array_equal(np.argmax(scores, axis=0), mask)
+        want_scores = tmp_path / f"want-{path.stem}.scores.cwf"
+        write_weights({"scores": final}, want_scores)
+        got_scores = out / f"{path.stem}.scores.cwf"
+        assert got_scores.read_bytes() == want_scores.read_bytes()
+        assert np.array_equal(np.argmax(final, axis=0), mask)
         assert rec["frame"] == str(path)
         assert rec["fired"] == sorted(int(s) for s in trace.fired)
         assert rec["change"] == trace.change
         assert rec["convs"] == trace.convs
         assert rec["macs"] == trace.macs
+    return traces
+
+
+@pytest.mark.parametrize("policy", list(SkipPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("flags,schedule", SCHEDULES,
+                         ids=["always", "fixed", "adaptive"])
+def test_segment_matches_serial_run_sequence(tmp_path, capsys, weights,
+                                             flags, schedule, policy):
+    traces = run_segment_against_serial(tmp_path, capsys, weights,
+                                        drift_then_cut(), flags, schedule,
+                                        policy)
+    if schedule is None:
+        assert [t.frame_index for t in traces if 3 in t.fired] == [0, 4]
+
+
+# Frames wide enough that conv4_2 and conv5_2 have two bands each, so the
+# helper's stage 1 can serve the main thread's stage-3 bands.
+WIDE = (3, 64, 1024)
+
+
+@pytest.mark.parametrize("flags,schedule", [SCHEDULES[0], SCHEDULES[2]],
+                         ids=["always", "adaptive"])
+def test_segment_with_multi_band_deep_convs_matches_serial_bytes(
+        tmp_path, capsys, weights, flags, schedule):
+    traces = run_segment_against_serial(
+        tmp_path, capsys, weights, drift_then_cut(shape=WIDE), flags,
+        schedule, SkipPolicy.FUSE_CACHED_DEEP)
+    if schedule is None:
+        assert [t.frame_index for t in traces if 3 in t.fired] == [0, 4]
 
 
 def test_segment_reads_at_most_one_frame_ahead(tmp_path, capsys, weights,
@@ -243,6 +282,57 @@ def test_stage1_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
     assert main_ran.is_set()
+    assert threading.active_count() == threads
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
+    assert written == [p.name for p in paths[:bad]]
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [1, 4])
+def test_stage3_overflow_served_by_helper_exits_4_with_earlier_masks_only(
+        tmp_path, capsys, monkeypatch, bad):
+    # conv5_1 weights made nonnegative and conv5_2 weights near the float32
+    # limit, with gen_weights' zero biases: black frames keep every map at
+    # zero, and the white frame overflows conv5_2 in its stage 3. Frame
+    # bad + 1 is gray, so the helper runs its stage 1 meanwhile.
+    store = gen_weights(CFG, 7)
+    store["conv5_1"] = np.abs(store["conv5_1"])
+    store["conv5_2"] = np.full_like(store["conv5_2"], 1e38)
+    weights = tmp_path / "overflow.cwf"
+    write_weights(store, weights)
+    frames = [np.zeros(WIDE, dtype=np.float32) for _ in range(6)]
+    frames[bad] = np.ones(WIDE, dtype=np.float32)
+    frames[bad + 1] = np.full(WIDE, 0.5, dtype=np.float32)
+    manifest, paths = write_sequence(tmp_path, frames)
+
+    # The helper's first band of the gray frame's stage 1 waits until the
+    # white frame's conv5_2 is posted, and the main thread's first band of
+    # that conv waits until the helper has run one, so the overflowing band
+    # the helper runs is one it serves.
+    posted, served = threading.Event(), threading.Event()
+    band = tensor_ops._conv_band
+
+    def band_served_on_white_frame(call, r0, views):
+        on_main = threading.current_thread() is threading.main_thread()
+        white_conv5_2 = call.p.kernel_h == 7 and call.x.any()
+        gray_conv1_1 = call.x.shape[0] == 3 and 0 < call.x[0, 0, 0] < 1
+        if white_conv5_2 and on_main:
+            posted.set()
+            assert served.wait(timeout=10)
+        band(call, r0, views)
+        if white_conv5_2 and not on_main:
+            served.set()
+        if gray_conv1_1 and not on_main:
+            assert posted.wait(timeout=10)
+
+    monkeypatch.setattr(tensor_ops, "_conv_band", band_served_on_white_frame)
+    threads = threading.active_count()
+    assert segment([manifest, "--weights", weights, "--out",
+                    tmp_path / "out"]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert served.is_set()
     assert threading.active_count() == threads
     written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
     assert written == [p.name for p in paths[:bad]]

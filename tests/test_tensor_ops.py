@@ -428,6 +428,75 @@ def test_shared_bands_under_fast_thread_switching(monkeypatch):
     assert len(ran) == 5 * sum(len(bands) for bands in BAND_CASES.values())
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["bytes", "band-error"])
+def test_priority_call_is_served_between_another_calls_own_bands(
+        monkeypatch, fail):
+    """A thread running a conv2d call of its own runs the unclaimed bands of
+    a call made inside ``priority`` before its next own band, in buffers
+    the priority call's owner allocated. Events fix
+    the order: the other thread stops after its first own band until the
+    priority call is posted, and the priority call's owner runs its first
+    band only once the other thread has served one."""
+    xo, po = band_case(*list(BAND_CASES)[0])   # 3 bands, the other's own
+    xp, pp = band_case(*list(BAND_CASES)[2])   # 10 bands, the priority call
+    first_own_done, posted, served = (threading.Event() for _ in range(3))
+    log, results = [], {}
+    band = tensor_ops._conv_band
+
+    def logged_band(call, r0, views):
+        on_other = threading.current_thread() is other
+        if call.x is xp and not on_other:
+            posted.set()
+            assert served.wait(timeout=10)
+        try:
+            if fail and call.x is xp and on_other:
+                raise RuntimeError("band failed while served")
+            band(call, r0, views)
+        finally:
+            if on_other:
+                log.append("own" if call.x is xo else "served")
+                if call.x is xp:
+                    served.set()
+        if on_other and call.x is xo and not first_own_done.is_set():
+            first_own_done.set()
+            assert posted.wait(timeout=10)
+
+    monkeypatch.setattr(tensor_ops, "_conv_band", logged_band)
+    buffers = tensor_ops._ConvCall._buffers
+    allocated = []
+
+    def logged_buffers(call):
+        allocated.append((threading.current_thread() is other, call.x is xp))
+        return buffers(call)
+
+    monkeypatch.setattr(tensor_ops._ConvCall, "_buffers", logged_buffers)
+    threads_before = threading.active_count()
+    other = threading.Thread(
+        target=lambda: results.setdefault("own", conv2d(xo, po)), daemon=True)
+    other.start()
+    try:
+        assert first_own_done.wait(timeout=10)
+        with tensor_ops.priority():
+            if fail:
+                with pytest.raises(RuntimeError,
+                                   match="band failed while served"):
+                    conv2d(xp, pp)
+            else:
+                assert conv2d(xp, pp).tobytes() == \
+                    untiled_conv2d(xp, pp).tobytes()
+    finally:
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert threading.active_count() == threads_before
+    served_count = log.count("served")
+    assert served_count >= 1
+    assert log == ["own"] + ["served"] * served_count + ["own", "own"]
+    assert results["own"].tobytes() == untiled_conv2d(xo, po).tobytes()
+    assert not tensor_ops._priority_calls and not tensor_ops._open_calls
+    # The priority call's owner allocated the serving thread's buffers.
+    assert sorted(allocated) == [(False, True), (False, True), (True, False)]
+
+
 class CountingBoard(threading.Condition):
     """The band board, counting how often a thread takes its lock."""
 
