@@ -9,7 +9,6 @@ from .errors import (
 )
 from .tensor_ops import (
     ConvParams,
-    Tensor,
     add,
     conv2d,
     crop_center,
@@ -20,7 +19,6 @@ from .tensor_ops import (
 )
 from .net import (
     NetConfig,
-    StagedNet,
     StageId,
     WorkCounter,
     argmax_mask,
@@ -34,7 +32,6 @@ from .net import (
 from .scheduler import (
     Adaptive,
     Always,
-    ClockSchedule,
     Fixed,
     SkipPolicy,
     StageTrace,
@@ -42,15 +39,12 @@ from .scheduler import (
     step,
 )
 from .metrics import (
-    BinaryStats,
     ConfusionMatrix,
-    MetricsReport,
     average_precision,
     build_report,
 )
 from .media_io import (
     DEFAULT_PALETTE,
-    SequenceManifest,
     decode_gt_mask,
     gen_weights,
     palette_hits,

@@ -406,13 +406,6 @@ class SequenceManifest:
     frames: tuple[Path, ...]
     truths: Optional[tuple[Path, ...]]
 
-    def __post_init__(self):
-        if self.truths is not None and len(self.truths) != len(self.frames):
-            raise FileFormatError(
-                f"manifest has {len(self.frames)} frames but "
-                f"{len(self.truths)} ground-truth entries"
-            )
-
 
 def read_manifest(path) -> SequenceManifest:
     """Read a plain-text manifest: one frame path per line, optional second
@@ -434,6 +427,8 @@ def read_manifest(path) -> SequenceManifest:
             ) from None
         if not line or line.startswith("#"):
             continue
+        if "\0" in line:
+            raise FileFormatError(f"{path}:{lineno}: holds a NUL byte")
         cols = line.split()
         if len(cols) > 2:
             raise FileFormatError(

@@ -20,7 +20,7 @@ a sweep over every threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -86,16 +86,19 @@ class ConfusionMatrix:
                 f"pred shape {np.asarray(pred).shape}"
             )
         n = self.num_classes
-        # One test over both arrays. A label out of range or a NaN fails it,
-        # and the test per array then names the array out of range, if any.
-        if t.size and not (0 <= min(t.min(), p.min())
-                           and max(t.max(), p.max()) < n):
-            for name, a in (("truth", t), ("pred", p)):
-                if a.min() < 0 or a.max() >= n:
+        for name, a in (("truth", t), ("pred", p)):
+            if not a.size:
+                break
+            if a.dtype.kind == "f":
+                fractional = a[np.floor(a) != a]  # NaN included
+                if fractional.size:
                     raise NumericError(
-                        f"{name} labels must lie in [0, {n}), got range "
-                        f"[{a.min()}, {a.max()}]"
-                    )
+                        f"{name} labels must be integers, got {fractional[0]}")
+            if a.min() < 0 or a.max() >= n:
+                raise NumericError(
+                    f"{name} labels must lie in [0, {n}), got range "
+                    f"[{a.min()}, {a.max()}]"
+                )
         bins = t.astype(np.int64, copy=False) * n
         np.add(bins, p.astype(np.int64, copy=False), out=bins)
         self.counts += np.bincount(bins, minlength=n * n).reshape(n, n)
@@ -437,19 +440,7 @@ class MetricsReport:
     avg_precision: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "acc": self.acc,
-            "cl_acc": self.cl_acc,
-            "miu": self.miu,
-            "fwiu": self.fwiu,
-            "per_class_iu": list(self.per_class_iu),
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "avg_precision": self.avg_precision,
-        }
+        return {**asdict(self), "per_class_iu": list(self.per_class_iu)}
 
 
 def build_report(cm: ConfusionMatrix, positive_class: int = 1,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,17 +43,6 @@ from .tensor_ops import Tensor, mean_abs_diff, priority
 
 
 @dataclass(frozen=True)
-class Always:
-    """Every stage, every frame."""
-
-    def stage2(self, index: int) -> bool:
-        return True
-
-    def stage3(self, index: int, change: Optional[float]) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
 class Fixed:
     """Fixed periods for stages 2 and 3 (stage 1 is implicitly period 1)."""
 
@@ -70,6 +59,14 @@ class Fixed:
 
     def stage3(self, index: int, change: Optional[float]) -> bool:
         return self.stage2(index) and index % self.period3 == 0
+
+
+@dataclass(frozen=True)
+class Always(Fixed):
+    """Every stage, every frame: ``Fixed`` with both periods 1."""
+
+    period2: int = field(default=1, init=False)
+    period3: int = field(default=1, init=False)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class Adaptive:
 # Past frame 0, ``step`` runs stage 2 where ``stage2(index)`` holds and
 # stage 3 where ``stage3(index, change)`` does; ``change`` is None except
 # under ``Adaptive``.
-ClockSchedule = Union[Always, Fixed, Adaptive]
+ClockSchedule = Union[Fixed, Adaptive]
 
 
 class SkipPolicy(enum.Enum):

@@ -2,12 +2,13 @@
 
 All feature and score maps are numpy arrays of shape (channels, height,
 width) with dtype float32, referred to as "tensors" throughout the package.
-Every kernel here is a pure function, except that ``relu`` writes into an
-``out`` array when given one: inputs are otherwise never mutated and
-identical inputs produce bit-identical outputs, so tensors can be shared
-freely across threads. Tensors are checked where they enter the package
-(frames, weight stores, ``conv2d`` and ``maxpool2d``); the elementwise
-kernels check only that their shapes agree.
+Each kernel's result depends only on its inputs, which it never mutates
+(``relu`` writes into an ``out`` array when given one): identical inputs
+give bit-identical outputs whichever thread runs a ``conv2d`` band posted on
+the module's board, so tensors can be shared freely across threads.
+Tensors are checked where they enter the package (frames, weight stores,
+``conv2d`` and ``maxpool2d``); the elementwise kernels check only that
+their shapes agree.
 
 ``conv2d``'s docstring gives the banding and thread-sharing rules. Calls
 made inside :func:`priority` (``segment``'s stage 3) are served first: any

@@ -537,6 +537,16 @@ def test_manifest_too_many_columns(tmp_path):
         read_manifest(tmp_path / "list.txt")
 
 
+def test_manifest_nul_byte_names_its_line(tmp_path):
+    """A path cannot hold a NUL byte; the manifest line is refused before
+    any file is opened by it."""
+    path = tmp_path / "list.txt"
+    path.write_bytes(b"f0.ppm\nf\x001.ppm\n")
+    with pytest.raises(FileFormatError) as exc:
+        read_manifest(path)
+    assert str(exc.value) == f"{path}:2: holds a NUL byte"
+
+
 def test_empty_manifest_rejected(tmp_path):
     (tmp_path / "list.txt").write_text("# nothing\n\n")
     with pytest.raises(FileFormatError, match="no frames"):

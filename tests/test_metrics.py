@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cwseg.metrics as metrics
 from cwseg import (
     ConfusionMatrix,
+    NumericError,
     ShapeError,
     average_precision,
     build_report,
@@ -141,6 +142,21 @@ def test_accumulate_validation():
         cm.add(np.array([0, 1]), np.array([-1, 1]))
 
 
+@pytest.mark.parametrize("n, truth, message", [
+    (2, [0.0, np.nan], "truth labels must be integers, got nan"),
+    (2, [0.5, 1.5], "truth labels must be integers, got 0.5"),
+    (3, [0.0, np.nan], "truth labels must be integers, got nan"),
+])
+def test_add_refuses_nonintegral_labels(n, truth, message):
+    cm = ConfusionMatrix(n)
+    with pytest.raises(NumericError) as exc:
+        cm.add(np.array(truth), np.array([0, 1]))
+    assert str(exc.value) == message
+    assert cm.total() == 0
+    with pytest.raises(NumericError, match="pred labels must be integers"):
+        cm.add(np.array([0, 1]), np.array(truth))
+
+
 def _outcome(add):
     try:
         return add(), None
@@ -152,8 +168,9 @@ def _outcome(add):
 @given(data=st.data())
 def test_add_equals_astype_version(data):
     """Counts and error messages equal the frozen int64-copy version for
-    labels of several integer widths, bools and floats (NaN included), in
-    range and out of it on either side, in either array."""
+    labels of several integer widths, bools and integral floats, in range
+    and out of it on either side, in either array. A NaN or fractional
+    label is refused instead, unless an earlier array is out of range."""
     n = data.draw(st.integers(2, 5))
     size = data.draw(st.integers(0, 30))
 
@@ -175,6 +192,14 @@ def test_add_equals_astype_version(data):
             np.zeros((n, n), np.int64), truth, pred))
         got, got_exc = _outcome(lambda: ConfusionMatrix(n).add(truth,
                                                                 pred).counts)
+    for name, a in (("truth", truth), ("pred", pred)):
+        bad = [v for v in a.tolist() if not float(v).is_integer()]
+        if bad:
+            assert isinstance(got_exc, NumericError)
+            assert str(got_exc) == f"{name} labels must be integers, got {bad[0]}"
+            return
+        if a.size and (a.min() < 0 or a.max() >= n):
+            break
     if want_exc is None:
         assert got_exc is None and np.array_equal(got, want)
     else:
@@ -556,10 +581,11 @@ def test_report_keys_and_values():
     cm = cm_from([[3, 1], [2, 4]])
     report = build_report(cm)
     d = report.to_dict()
-    assert sorted(d.keys()) == sorted([
+    assert list(d) == [
         "acc", "cl_acc", "miu", "fwiu", "per_class_iu", "precision",
         "recall", "f1", "fpr", "fnr", "avg_precision",
-    ])
+    ]
+    assert isinstance(d["per_class_iu"], list)
     assert d["acc"] == pytest.approx(0.7, abs=1e-12)
     assert d["avg_precision"] is None
     assert len(d["per_class_iu"]) == 2

@@ -173,6 +173,28 @@ def test_all_fire_schedules_match_full_forward(schedule, policy):
     assert all(t.fired == ALL for t in traces)
 
 
+def test_always_is_fixed_with_both_periods_one():
+    assert isinstance(Always(), Fixed)
+    assert Always() == Always()
+    assert (Always().period2, Always().period3) == (1, 1)
+    with pytest.raises(TypeError):
+        Always(2, 4)
+    with pytest.raises(TypeError):
+        Always(period2=2)
+
+
+@pytest.mark.parametrize("policy", list(SkipPolicy))
+def test_always_runs_as_fixed_1_1(policy):
+    net = tiny_net()
+    frames = random_frames(22, 5)
+    runs = [run_sequence(net, s, policy, frames) for s in (Always(), Fixed(1, 1))]
+    (masks_a, traces_a), (masks_f, traces_f) = runs
+    assert [m.tobytes() for m in masks_a] == [m.tobytes() for m in masks_f]
+    for a, f in zip(traces_a, traces_f):
+        assert (a.fired, a.change, a.convs, a.macs) == (f.fired, f.change,
+                                                        f.convs, f.macs)
+
+
 def test_single_frame_runs_everything():
     net = tiny_net()
     masks, traces = run_sequence(
