@@ -13,6 +13,7 @@ across a thread pool (``_eval_worker_count``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,9 +111,9 @@ def _open_sequence(args) -> tuple[tuple[Path, ...], list, StagedNet]:
     return frames, first, _load_net(args.weights, first[0].shape)
 
 
-def _check_unique_stems(frames) -> None:
-    """Per-frame files are named by the frame's stem, so two frames with
-    one stem would share their masks and score files."""
+def _unique_stems(frames) -> list[str]:
+    """The frames' stems, which name their per-frame files, so two frames
+    with one stem would share their masks and score files."""
     stems = [p.stem for p in frames]
     if len(set(stems)) != len(stems):
         dup = next(s for s in stems if stems.count(s) > 1)
@@ -120,6 +121,18 @@ def _check_unique_stems(frames) -> None:
             f"manifest has multiple frames with stem '{dup}'; "
             f"per-frame file names would collide"
         )
+    return stems
+
+
+def _refuse_overwrite(out_dir, names, inputs) -> None:
+    """Refuse writing ``names`` in ``out_dir`` over ``inputs``; a missing
+    directory holds none. Names are compared first, directories once each."""
+    real = functools.cache(os.path.realpath)
+    for path in inputs if os.path.isdir(out_dir) else ():
+        parent, name = os.path.split(path)
+        if name in names and real(parent) == real(out_dir):
+            raise ContractError(f"output {os.path.join(out_dir, name)} "
+                                f"would overwrite input {path}")
 
 
 def _trace_record(trace: StageTrace, frame_path) -> dict:
@@ -217,13 +230,16 @@ def cmd_segment(args) -> int:
     schedule = _schedule_from_args(args)
     policy = SkipPolicy(args.skip_policy)
     frames, first, net = _open_sequence(args)
-    _check_unique_stems(frames)
+    stems = _unique_stems(frames)
     if net.cfg.num_classes > len(palette):
         raise ContractError(
             f"network predicts {net.cfg.num_classes} classes but the "
             f"palette has only {len(palette)} colors"
         )
     out_dir = Path(args.out)
+    names = {"trace.jsonl", *(s + ".ppm" for s in stems),
+             *(s + ".scores.cwf" for s in stems if args.save_scores)}
+    _refuse_overwrite(out_dir, names, [*frames, args.manifest, args.weights])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Written after the last frame: a run that stops partway leaves no trace.
@@ -232,7 +248,7 @@ def cmd_segment(args) -> int:
     traces = []
 
     def emit(index, mask, trace, scores):
-        stem = frames[index].stem
+        stem = stems[index]
         write_mask(mask, palette, out_dir / f"{stem}.ppm")
         if args.save_scores:
             write_weights({"scores": scores}, out_dir / f"{stem}.scores.cwf")
@@ -291,22 +307,26 @@ def cmd_eval(args) -> int:
         raise FileFormatError(
             f"{args.manifest}: manifest has no ground-truth column"
         )
-    _check_unique_stems(manifest.frames)
+    stems = _unique_stems(manifest.frames)
     num_classes = len(palette)
     if not 0 <= args.positive_class < num_classes:
         raise ContractError(
             f"--positive-class {args.positive_class} out of range "
             f"[0, {num_classes})"
         )
-    pred_dir = Path(args.pred_dir)
-    scores_dir = Path(args.scores_dir) if args.scores_dir else None
+    pred_paths = [os.path.join(args.pred_dir, s + ".ppm") for s in stems]
+    score_paths = [os.path.join(args.scores_dir, s + ".scores.cwf")
+                   for s in stems if args.scores_dir]
+    if args.out:
+        out = Path(args.out)
+        _refuse_overwrite(out.parent, {out.name}, [args.manifest, *manifest.truths,
+                                                   *pred_paths, *score_paths])
 
-    def eval_frame(pair):
-        frame_path, truth_path = pair
-        pred_path = pred_dir / f"{frame_path.stem}.ppm"
-        if not pred_path.exists():
+    def eval_frame(i):
+        stem, truth_path, pred_path = stems[i], manifest.truths[i], pred_paths[i]
+        if not os.path.exists(pred_path):
             raise FileFormatError(
-                f"missing prediction for frame '{frame_path.stem}': {pred_path}"
+                f"missing prediction for frame '{stem}': {pred_path}"
             )
         truth_hits = _mask_hits(truth_path, palette)
         pred_hits = _mask_hits(pred_path, palette)
@@ -316,12 +336,12 @@ def cmd_eval(args) -> int:
                 f"shape {truth_hits.shape[1:]} of {truth_path}"
             )
         cm = ConfusionMatrix(num_classes).add_hits(truth_hits, pred_hits)
-        if scores_dir is None:
+        if not score_paths:
             return cm, None
-        scores_path = scores_dir / f"{frame_path.stem}.scores.cwf"
-        if not scores_path.exists():
+        scores_path = score_paths[i]
+        if not os.path.exists(scores_path):
             raise FileFormatError(
-                f"missing scores for frame '{frame_path.stem}': {scores_path}"
+                f"missing scores for frame '{stem}': {scores_path}"
             )
         # The kept score buffers are allocated before the file is read, so
         # they do not interleave with freed file buffers in the heap.
@@ -346,14 +366,13 @@ def cmd_eval(args) -> int:
         return cm, split_scores(chw[args.positive_class].ravel(), positive,
                                 kept)
 
-    pairs = list(zip(manifest.frames, manifest.truths))
     avg_precision = None
     with ThreadPoolExecutor(max_workers=_eval_worker_count()) as pool:
-        results = list(pool.map(eval_frame, pairs))
+        results = list(pool.map(eval_frame, range(len(stems))))
         total_cm = sum((cm for cm, _ in results), ConfusionMatrix(num_classes))
         splits = [split for _, split in results]
         del results  # the combine frees each frame's split as it pools them
-        if scores_dir is not None:
+        if score_paths:
             avg_precision = pooled_average_precision(splits, pool.map)
 
     report = replace(build_report(total_cm, positive_class=args.positive_class),

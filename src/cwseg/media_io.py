@@ -265,6 +265,8 @@ def parse_palette(text: str) -> tuple[Color, ...]:
 # Weight store (CWFCN1)
 
 _MAGIC = b"CWFCN1"
+# The longest entry name, in UTF-8 bytes, and the highest rank of a store.
+_MAX_NAME_BYTES, _MAX_RANK = 4096, 32
 
 
 class _Cursor:
@@ -294,13 +296,21 @@ class _Cursor:
 def write_weights(store: dict[str, np.ndarray], path) -> None:
     """Serialize a name -> float32 array map in CWFCN1 format.
 
-    Every entry is converted before the file is opened, so a bad entry
-    leaves no file; payloads are then written straight from the arrays.
+    Entries are converted and checked before the file is opened, so a bad
+    entry leaves no file; payloads are then written straight from arrays.
     """
     entries = []
-    for name, arr in store.items():
+    for i, (name, arr) in enumerate(store.items()):
+        try:
+            nb = name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FileFormatError(f"{path}: entry {i} name is not UTF-8") from None
         a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32), dtype="<f4")
-        nb = name.encode("utf-8")
+        if (len(nb) > _MAX_NAME_BYTES or a.ndim > _MAX_RANK
+                or max(a.shape, default=0) >> 32):
+            raise FileFormatError(
+                f"{path}: entry {i} {name[:40]!r}: a {len(nb)}-byte name or shape "
+                f"{a.shape} is over {_MAX_NAME_BYTES} bytes, rank {_MAX_RANK} or u32 dims")
         head = [len(nb).to_bytes(4, "little"), nb, a.ndim.to_bytes(4, "little")]
         head += [int(d).to_bytes(4, "little") for d in a.shape]
         entries.append((b"".join(head), a))
@@ -328,7 +338,7 @@ def read_weights(path) -> dict[str, np.ndarray]:
     store: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = cur.u32(f"entry {i} name length")
-        if name_len > 4096:
+        if name_len > _MAX_NAME_BYTES:
             raise FileFormatError(f"{path}: entry {i} name length {name_len} is absurd")
         try:
             name = str(cur.take(name_len, f"entry {i} name"), "utf-8")
@@ -337,7 +347,7 @@ def read_weights(path) -> dict[str, np.ndarray]:
         if name in store:
             raise FileFormatError(f"{path}: duplicate entry '{name}'")
         rank = cur.u32(f"entry '{name}' rank")
-        if rank > 32:
+        if rank > _MAX_RANK:
             raise FileFormatError(f"{path}: entry '{name}' rank {rank} is absurd")
         dims = tuple(cur.u32(f"entry '{name}' dim {d}") for d in range(rank))
         n_elems = math.prod(dims)

@@ -15,13 +15,14 @@ Average precision is computed from shards of pixels, such as frames:
 ``pooled_average_precision`` sorts the pooled positive and negative scores
 as two tasks of that pool, then computes precision only in the blocks of
 positives where it can set a recall level's maximum, with the same bits as
-a sweep over every threshold.
+a sweep over every threshold. Every distinct score is a threshold, and a
+NaN score is refused, so the result does not depend on pixel order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -235,30 +236,17 @@ class BinaryStats:
     degenerate: tuple[str, ...] = ()
 
 
-class ScoreSplit(NamedTuple):
-    """One shard of pixels (a frame, say) split for average precision.
-
-    ``positive`` and ``negative`` hold the scores of the shard's positive and
-    negative pixels, NaN scores included; ``nan_positive`` flags which of the
-    shard's NaN pixels are positive, in pixel order.
-    """
-
-    positive: np.ndarray
-    negative: np.ndarray
-    nan_positive: np.ndarray
-
-
 def split_scores(scores: np.ndarray, positive: np.ndarray,
-                 out: tuple = (None, None)) -> ScoreSplit:
-    """Split flat ``scores`` by the flat boolean mask ``positive``.
+                 out: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Split one shard of pixels (a frame, say) for average precision: the
+    flat ``scores`` of the flat boolean mask ``positive``, then the others.
 
     ``out`` may hold the two score buffers, sized to the positive and the
     negative pixel counts, so that a caller can allocate them before it
     reads the scores.
     """
-    return ScoreSplit(np.compress(positive, scores, out=out[0]),
-                      np.compress(~positive, scores, out=out[1]),
-                      positive[np.isnan(scores)])
+    return (np.compress(positive, scores, out=out[0]),
+            np.compress(~positive, scores, out=out[1]))
 
 
 def average_precision(scores: np.ndarray, truth: np.ndarray,
@@ -269,10 +257,7 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
     label mask of the same shape. For each recall level r in {0, 0.1, ...,
     1.0}, take the maximum precision over all score thresholds achieving
     recall >= r (thresholding as score >= t), and average the 11 values.
-
-    Every distinct score is a threshold. A NaN score ranks below every
-    number, and each NaN pixel is a threshold of its own, taken in pixel
-    order: the j-th NaN pixel adds itself and the j - 1 NaN pixels before it.
+    Every distinct score is a threshold; a NaN score raises NumericError.
 
     Float32 scores are kept as float32, which orders and ties them as
     float64 would; any other dtype is converted to float64. This is
@@ -300,7 +285,7 @@ _RECALL_LEVELS = np.arange(11) / 10.0
 
 def pooled_average_precision(splits: list, pool_map=map) -> float:
     """Average precision (see :func:`average_precision`) of the pixels of
-    every ``ScoreSplit`` in ``splits``, pooled in order.
+    every ``split_scores`` pair in ``splits``, pooled in order.
 
     ``splits`` is emptied, so each shard's arrays are freed once they are
     pooled. ``pool_map`` runs the two sorts, of the positive and of the
@@ -312,12 +297,11 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     Every positive gives a point: tp, the positives from it up, and k, all
     pixels from it up, counting the negatives that tie with it. At the
     first positive of a tie group these are the counts of the threshold at
-    its score, and each positive NaN pixel gives its threshold's counts, in
-    pixel order below every number. The other points never raise a recall
-    level's maximum: a later positive of a tie group has tp and k smaller by
-    the same d, so a lower recall and a precision (tp - d) / (k - d) <=
-    tp / k, and a threshold whose tie group holds only negatives has the
-    recall of the group above it and no higher precision.
+    its score. The other points never raise a recall level's maximum: a
+    later positive of a tie group has tp and k smaller by the same d, so a
+    lower recall and a precision (tp - d) / (k - d) <= tp / k, and a
+    threshold whose tie group holds only negatives has the recall of the
+    group above it and no higher precision.
 
     The positives, in ascending order, are cut into blocks of at most
     ``_AP_BLOCK`` whose edges include every recall level's cut point, and
@@ -329,28 +313,22 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     of the smallest level holding it cannot change any level's maximum;
     every other block is evaluated point by point.
     """
-    n_pos = sum(s.positive.size for s in splits)
-    if n_pos == 0:
+    if not any(pos.size for pos, _ in splits):
         raise NumericError(
             "average precision is undefined: no positive pixels in truth"
         )
-    n_neg = sum(s.negative.size for s in splits)
-    nan_positive = np.concatenate([s.nan_positive for s in splits])
-    runs = ([s.positive for s in splits], [s.negative for s in splits])
+    runs = ([pos for pos, _ in splits], [neg for _, neg in splits])
     splits.clear()
     pos, neg = pool_map(_sorted_run, runs)
-    # np.sort places NaNs last; p and n count the numbers each run keeps.
-    nan_pos = int(np.count_nonzero(nan_positive))
-    p = n_pos - nan_pos
-    n = n_neg - (nan_positive.size - nan_pos)
-    # Each positive NaN pixel is a threshold below every number.
-    nan_rank = np.flatnonzero(nan_positive)[::-1] + 1
-    maxima = np.maximum(
-        _block_maxima(pos[:p], neg[:n], n_pos),
-        _level_maxima(np.arange(p + nan_rank.size, p, -1), p + n + nan_rank,
-                      n_pos))
+    # np.sort places NaNs last, so a run holds one only if it ends in one.
+    nans = sum(run.size - int(np.searchsorted(run, run[-1]))
+               for run in (pos, neg) if run.size and np.isnan(run[-1]))
+    if nans:
+        raise NumericError(
+            f"average precision is undefined on NaN scores ({nans} found)")
+    # Left to right: from Python 3.12 on, sum() of floats is compensated.
     total = 0.0
-    for level_max in maxima:
+    for level_max in _block_maxima(pos, neg):
         total += float(level_max)
     return total / 11.0
 
@@ -363,9 +341,9 @@ def _sorted_run(parts: list) -> np.ndarray:
     return run
 
 
-def _block_maxima(pos: np.ndarray, neg: np.ndarray, n_pos: int) -> np.ndarray:
+def _block_maxima(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """Per recall level, the maximum precision over the points of the sorted
-    runs ``pos`` and ``neg``, or -inf where none reaches it.
+    runs ``pos`` and ``neg``.
 
     The positive at index i has tp = p - i and k = tp + c_i, where c_i
     counts the negatives not below it. Level j holds the points i < r_j, and
@@ -373,7 +351,7 @@ def _block_maxima(pos: np.ndarray, neg: np.ndarray, n_pos: int) -> np.ndarray:
     or is skipped by the bound rule of :func:`pooled_average_precision`.
     """
     p, n = pos.size, neg.size
-    reach = _reach_counts(p, n_pos)
+    reach = _reach_counts(p)
     edges = np.union1d(np.arange(0, p, _AP_BLOCK), reach)
     first, stop = edges[:-1], edges[1:]
     c_first, c_last = np.split(
@@ -396,31 +374,23 @@ def _block_maxima(pos: np.ndarray, neg: np.ndarray, n_pos: int) -> np.ndarray:
         k = tp + (c_first[t] - np.searchsorted(neg[lo:hi],
                                                pos[first[t]:stop[t]]))
         best[t] = (tp / k).max()
-    return np.concatenate(([-np.inf], np.maximum.accumulate(best)))[blocks]
+    return np.maximum.accumulate(best)[blocks - 1]
 
 
-def _reach_counts(p: int, n_pos: int) -> np.ndarray:
+def _reach_counts(p: int) -> np.ndarray:
     """Per recall level, how many of tp = p, p - 1, ..., 1 have a recall
-    tp / n_pos, one float64 division, that reaches it."""
+    tp / p, one float64 division, that reaches it; tp = p reaches every
+    level, so each count is at least one."""
     counts = []
     for level in _RECALL_LEVELS:
         # The least tp that reaches the level, from an estimate within one.
-        tp = max(1, math.ceil(level * n_pos))
-        while tp > 1 and (tp - 1) / n_pos >= level:
+        tp = max(1, math.ceil(level * p))
+        while tp > 1 and (tp - 1) / p >= level:
             tp -= 1
-        while tp / n_pos < level:
+        while tp / p < level:
             tp += 1
-        counts.append(max(0, p - tp + 1))
+        counts.append(p - tp + 1)
     return np.array(counts)
-
-
-def _level_maxima(tp: np.ndarray, k: np.ndarray, n_pos: int) -> np.ndarray:
-    """Per recall level, the maximum precision tp / k over the points whose
-    recall tp / n_pos reaches it, or -inf where none does; tp falls along
-    the arrays, and every ratio is one float64 division of integer counts."""
-    precision = tp / k
-    reached = tp.size - np.searchsorted(tp[::-1] / n_pos, _RECALL_LEVELS)
-    return np.array([precision[:r].max() if r else -np.inf for r in reached])
 
 
 @dataclass(frozen=True)

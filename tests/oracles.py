@@ -229,10 +229,10 @@ def splitmix64_oracle(seed, count):
 def average_precision_argsort(scores, truth, positive_class=1):
     """11-point AP from one stable argsort of every pixel by descending
     score, cumulative true positives, and a precision at the end of every
-    tie group. Unlike the exhaustive oracle above it also defines NaN scores
-    (each NaN pixel ranks below every number and is a tie group of its own,
-    in pixel order), so tests can ask for bit-identical results on every
-    input."""
+    tie group. Tests ask for bit-identical results from it on every input
+    without a NaN score, which ``average_precision`` refuses; on NaN scores
+    it keeps its frozen pixel-order rule (each NaN pixel ranks below every
+    number and is a tie group of its own)."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     t = np.asarray(truth).ravel()
     positive = (t == positive_class)

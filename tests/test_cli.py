@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwseg.cli as cli
 from cwseg import (
@@ -225,15 +230,16 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
     # perturb one mask so the metrics are not all trivially 1.0
     masks[1] = 1 - masks[1]
     manifest2 = write_frames(tmp_path, frames, gt_masks=masks)
-    # NaN scores in two frames: frame 1 is mostly positive, frame 2 mostly
-    # negative.
+    # Infinite scores in two frames: frame 1 is mostly positive, frame 2
+    # mostly negative.
     rng = np.random.default_rng(5)
     pooled = []
     for i in range(4):
         path = out / f"frame{i:03d}.scores.cwf"
         scores = read_weights(path)["scores"].copy()
         if i in (1, 2):
-            scores[1].flat[rng.choice(scores[1].size, 40, replace=False)] = np.nan
+            at = rng.choice(scores[1].size, 40, replace=False)
+            scores[1].flat[at] = rng.choice([np.inf, -np.inf], 40)
             write_weights({"scores": scores}, path)
         pooled.append(scores[1].ravel())
     pooled_truth = np.concatenate([m.ravel() for m in masks])
@@ -247,6 +253,60 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["avg_precision"] == want
+
+
+def _write_scores(pred_dir, chws):
+    for i, chw in enumerate(chws):
+        write_weights({"scores": chw}, pred_dir / f"frame{i:03d}.scores.cwf")
+
+
+@pytest.fixture(scope="module")
+def shuffled_eval_dir(tmp_path_factory):
+    """Five frames' truth and predicted masks and score stores whose
+    positive channel is tie-heavy and holds both infinities."""
+    root = tmp_path_factory.mktemp("shuffled_eval")
+    rng = np.random.default_rng(21)
+    truths = [rng.integers(0, 2, (8, 12)) for _ in range(5)]
+    preds = [np.where(rng.random(t.shape) < 0.8, t, 1 - t) for t in truths]
+    _, pred_dir = write_eval_inputs(root, truths, preds)
+    values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 0.5, 2.0, np.inf],
+                      dtype=np.float32)
+    _write_scores(pred_dir, [rng.choice(values, (2, 8, 12)) for _ in truths])
+    return root
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(5)))
+def test_eval_report_is_the_same_bytes_in_any_frame_order(shuffled_eval_dir,
+                                                         order):
+    root, pred = shuffled_eval_dir, str(shuffled_eval_dir / "pred")
+    reports = []
+    for name, lines in (("in_order.txt", range(5)), ("shuffled.txt", order)):
+        (root / name).write_text("".join(f"frame{i:03d}.ppm gt{i:03d}.ppm\n"
+                                         for i in lines))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["eval", pred, str(root / name),
+                             "--scores-dir", pred]) == 0
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["avg_precision"] is not None
+
+
+def test_eval_refuses_a_nan_score_with_exit_4_and_no_report(tmp_path):
+    masks = [checkerboard(4, 6)] * 2
+    manifest, pred = write_eval_inputs(tmp_path, masks, masks)
+    chws = [np.ones((2, 4, 6), np.float32) for _ in masks]
+    chws[1][1, 2, 3] = np.nan
+    _write_scores(pred, chws)
+    report = tmp_path / "r.json"
+    proc = run_cli("eval", pred, manifest, "--scores-dir", pred,
+                   "--out", report)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == ("error: average precision is undefined on "
+                           "NaN scores (1 found)\n")
+    assert proc.stdout == ""
+    assert not report.exists()
 
 
 def test_eval_without_positive_pixels_exits_4(tmp_path):
@@ -394,6 +454,84 @@ def test_eval_report_equals_build_report_of_int64_labels(tmp_path, capsys,
     assert cli.main(["eval", str(pred), str(manifest), "--scores-dir",
                      str(pred), "--palette", text]) == 0
     assert capsys.readouterr().out == json.dumps(want.to_dict(), indent=2) + "\n"
+
+
+def _file_bytes(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("how", ["same-dir", "symlinked-dir", "dot-from-cwd"])
+def test_segment_refuses_to_write_masks_over_its_frames(
+        tmp_path, monkeypatch, capsys, weights_file, how):
+    """Masks are named by frame stem, so an --out holding the .ppm frames
+    would replace them; the run is refused before any write, and an old
+    trace.jsonl there is left alone."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_frames(frames, random_frames(9, 3))
+    (frames / "trace.jsonl").write_text("an older run's trace\n")
+    before = _file_bytes(frames)
+    manifest, out = frames / "manifest.txt", frames
+    if how == "symlinked-dir":
+        out = tmp_path / "link"
+        out.symlink_to(frames)
+    elif how == "dot-from-cwd":
+        monkeypatch.chdir(frames)
+        manifest, out = "manifest.txt", "."
+    assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
+                     "--out", str(out)]) == 4
+    clash = os.path.join(str(out), "frame000.ppm")
+    assert capsys.readouterr().err == (
+        f"error: output {clash} would overwrite input "
+        f"{Path(manifest).parent / 'frame000.ppm'}\n")
+    assert _file_bytes(frames) == before
+
+
+@pytest.mark.parametrize("victim", ["manifest", "weights"])
+def test_segment_refuses_to_write_over_its_manifest_or_weights(
+        tmp_path, capsys, weights_file, victim):
+    """The manifest named as the trace, or the weight store named as a
+    frame's score file, in the output directory."""
+    write_frames(tmp_path, random_frames(9, 2))
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = tmp_path / "manifest.txt"
+    weights = out / "frame001.scores.cwf"
+    weights.write_bytes(weights_file.read_bytes())
+    if victim == "manifest":
+        manifest = out / "trace.jsonl"
+        manifest.write_text("".join(f"{tmp_path / f'frame{i:03d}.ppm'}\n"
+                                    for i in range(2)))
+        weights = weights_file
+    before = _file_bytes(tmp_path)
+    assert cli.main(["segment", str(manifest), "--weights", str(weights),
+                     "--out", str(out), "--save-scores"]) == 4
+    target = manifest if victim == "manifest" else weights
+    assert capsys.readouterr().err == (
+        f"error: output {target} would overwrite input {target}\n")
+    assert _file_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("victim", ["manifest.txt", "gt001.ppm",
+                                    "pred/frame001.ppm",
+                                    "pred/frame001.scores.cwf"])
+def test_eval_refuses_to_write_its_report_over_an_input(tmp_path, victim):
+    masks = [checkerboard(4, 6)] * 2
+    manifest, pred = write_eval_inputs(tmp_path, masks, masks)
+    _write_scores(pred, [np.stack([1 - m, m]).astype(np.float32)
+                         for m in masks])
+    before = _file_bytes(tmp_path)
+    proc = run_cli("eval", pred, manifest, "--scores-dir", pred,
+                   "--out", tmp_path / victim)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (f"error: output {tmp_path / victim} would "
+                           f"overwrite input {tmp_path / victim}\n")
+    assert _file_bytes(tmp_path) == before
+    # A report beside the inputs is written, the same bytes as stdout.
+    proc = run_cli("eval", pred, manifest, "--scores-dir", pred,
+                   "--out", pred / "report.json")
+    assert proc.returncode == 0, proc.stderr
+    assert (pred / "report.json").read_text() == proc.stdout
 
 
 def test_usage_errors_exit_2(tmp_path):

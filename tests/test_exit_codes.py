@@ -6,7 +6,8 @@ escapes. A ``segment`` that fails leaves no ``trace.jsonl``.
 Every example corrupts one file of a 3-frame 32x32 fixture (a frame, a
 truth mask, a prediction, a score store, the manifest or the weight store)
 by truncating it, flipping a header byte or inserting bytes, then runs
-``segment``, ``eval --scores-dir`` and ``bench`` in process.
+``segment``, ``eval --scores-dir`` and ``bench`` in process. NaN bits
+written into the score store's positive-class channel make ``eval`` exit 4.
 """
 import contextlib
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cwseg.cli as cli
@@ -88,6 +89,8 @@ def corruptions(draw):
     kinds = ["truncate", "flip", "insert"]
     if target.endswith(".cwf"):
         kinds += ["rank", "name_len", "name_utf8"]
+    if target.endswith(".scores.cwf"):
+        kinds.append("nan")
     how = draw(st.sampled_from(kinds))
     position = draw(st.integers(0, 1 << 16))
     payload = draw(st.binary(min_size=1, max_size=8))
@@ -113,12 +116,23 @@ def _corrupt(data: bytes, how: str, position: int, payload: bytes) -> bytes:
     if how == "name_utf8":
         return data[:14] + b"\xff" + data[15:]
     rank_at = 14 + name_len
+    if how == "nan":
+        # One float of the second half of the entry's payload (channel 1 of
+        # a 2-channel score map): a NaN with either sign and a payload.
+        rank = int.from_bytes(data[rank_at:rank_at + 4], "little")
+        start = rank_at + 4 + 4 * rank
+        half = (len(data) - start) // 8
+        at = start + 4 * (half + position % half)
+        bits = 0x7F800000 | 1 + int.from_bytes(payload[:2], "little")
+        bits |= (payload[0] & 1) << 31
+        return data[:at] + bits.to_bytes(4, "little") + data[at + 4:]
     value = min(33 + position * 65536, (1 << 32) - 1)
     return data[:rank_at] + value.to_bytes(4, "little") + data[rank_at + 4:]
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=corruptions())
+@example(case=("pred/frame2.scores.cwf", "nan", 5, b"\x01"))
 def test_corrupt_inputs_exit_3_or_4(fixture_dir, case):
     target, how, position, payload = case
     work = Path(tempfile.mkdtemp(dir=fixture_dir.parent))
@@ -135,7 +149,8 @@ def test_corrupt_inputs_exit_3_or_4(fixture_dir, case):
         if code != 0:
             assert not (out / "trace.jsonl").exists()
         pred = str(work / "pred")
-        assert _call(["eval", pred, manifest, "--scores-dir", pred]) in (0, 3, 4)
+        code = _call(["eval", pred, manifest, "--scores-dir", pred])
+        assert code == 4 if how == "nan" else code in (0, 3, 4)
         assert _call(["bench", manifest, "--weights", weights]) in (0, 3, 4)
     finally:
         shutil.rmtree(work)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -462,6 +464,74 @@ def test_writers_leave_no_file_on_a_bad_array(tmp_path):
     with pytest.raises(ShapeError):
         write_mask(np.array([[0, 2]]), DEFAULT_PALETTE, tmp_path / "m.ppm")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", [
+    ("x" * 5000, np.zeros(1, np.float32)),
+    ("\u00e9" * 2049, np.zeros(1, np.float32)),  # 4098 UTF-8 bytes
+    ("a", np.zeros((1,) * 33, np.float32)),
+    ("\udc80", np.zeros(1, np.float32)),
+    ("z", np.empty((0, 1 << 32), np.float32)),
+], ids=["5000-char-name", "4098-byte-name", "rank-33", "lone-surrogate",
+        "dim-over-u32"])
+def test_write_weights_refuses_entries_read_weights_refuses(tmp_path, entry):
+    """Refused with a FileFormatError naming the entry, before the file is
+    opened: no file is left, as read_weights would refuse it."""
+    name, arr = entry
+    store = {"good": np.ones(2, np.float32), name: arr}
+    with pytest.raises(FileFormatError, match=f"^{tmp_path / 'w.cwf'}: entry 1 "):
+        write_weights(store, tmp_path / "w.cwf")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readable(name, shape):
+    """Whether read_weights accepts an entry of this name and shape."""
+    try:
+        size = len(name.encode("utf-8"))
+    except UnicodeEncodeError:
+        return False
+    return size <= 4096 and len(shape) <= 32 and max(shape, default=0) < 1 << 32
+
+
+@st.composite
+def _stores(draw):
+    """Stores with names about the 4096-byte limit or holding a lone
+    surrogate, ranks up to 34, and zero-size entries with a dim over u32."""
+    store = {}
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.text(max_size=4)) + draw(st.sampled_from(
+            ["", "\udc80", "x" * 4092, "\u00e9" * 2047, "\U0001f600" * 1023]))
+        shape = [1] * draw(st.integers(0, 34))
+        for _ in range(min(3, len(shape))):
+            shape[draw(st.integers(0, len(shape) - 1))] = draw(
+                st.sampled_from([0, 2, 3]))
+        if 0 in shape and draw(st.booleans()):
+            shape.insert(0, 1 << 32)  # still zero-size
+        store[name] = (np.empty(shape, np.float32) if 0 in shape else draw(
+            arrays(np.float32, tuple(shape), elements=st.floats(width=32))))
+    return store
+
+
+@settings(max_examples=100, deadline=None)
+@given(store=_stores())
+def test_write_weights_round_trips_every_store_it_accepts(tmp_path_factory,
+                                                          store):
+    """write_weights accepts exactly the stores read_weights reads back,
+    and those come back with the same names, shapes and bits; a 0-d entry
+    is stored with shape (1,), as the joined writer stores it."""
+    path = tmp_path_factory.mktemp("cwf") / "w.cwf"
+    readable = all(_readable(n, a.shape) for n, a in store.items())
+    if not readable:
+        with pytest.raises(FileFormatError):
+            write_weights(store, path)
+        assert not path.exists()
+        return
+    write_weights(store, path)
+    back = read_weights(path)
+    assert list(back) == list(store)
+    for name, arr in store.items():
+        assert back[name].shape == np.atleast_1d(arr).shape
+        assert back[name].tobytes() == arr.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,8 @@ def test_ap_matches_exhaustive_oracle(seed, tie_heavy):
     assert got == pytest.approx(want, abs=1e-9)
 
 
-# Tie-heavy values, both zeros, both infinities and NaN.
-_AP_SPECIAL = [0.0, -0.0, 0.25, -0.25, 1.0, np.inf, -np.inf, np.nan]
+# Tie-heavy values, both zeros and both infinities.
+_AP_SPECIAL = [0.0, -0.0, 0.25, -0.25, 1.0, np.inf, -np.inf]
 
 
 @st.composite
@@ -411,7 +411,8 @@ def _ap_cases(draw, max_size=40):
         values = st.integers(-3, 3)
     else:
         width = 32 if dtype is np.float32 else 64
-        values = st.one_of(st.sampled_from(_AP_SPECIAL), st.floats(width=width))
+        values = st.one_of(st.sampled_from(_AP_SPECIAL),
+                           st.floats(width=width, allow_nan=False))
     scores = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
     positive_class = draw(st.integers(0, 2))
     if draw(st.booleans()):
@@ -439,7 +440,7 @@ def pool_maps():
 @settings(max_examples=300, deadline=None)
 @given(case=_ap_cases(max_size=300), data=st.data())
 def test_sharded_ap_equals_stable_argsort_version(pool_maps, case, data):
-    """Shards at random cuts (empty, without positives, NaN in several),
+    """Shards at random cuts (empty, without positives, infinite in several),
     split with and without preallocated buffers and combined with blocks
     of 1 to 8 positives, so that block edges fall inside tie groups and
     blocks are both skipped and evaluated; every map gives the oracle's
@@ -505,23 +506,24 @@ def _level_cut_in_tie_group_case():
             np.concatenate([np.ones(p, np.int64), np.zeros(neg.size, np.int64)]))
 
 
-def _nan_with_skipped_blocks_case():
+def _inf_with_skipped_blocks_case():
     """Well separated float32 scores, so that most blocks are skipped, with
-    NaN scores on positive and negative pixels."""
+    tie groups of +inf and of -inf on positive and negative pixels."""
     rng = np.random.default_rng(1613)
     m = 64 * metrics._AP_BLOCK
     truth = (rng.random(m) < 0.45).astype(np.uint8)
     scores = (rng.standard_normal(m, dtype=np.float32)
               + np.float32(1.5) * truth)
-    scores[rng.integers(0, m, 300)] = np.float32(np.nan)
+    scores[rng.integers(0, m, 300)] = np.float32(np.inf)
+    scores[rng.integers(0, m, 300)] = np.float32(-np.inf)
     return scores, truth
 
 
 @pytest.mark.parametrize("make", [
     _no_prune_case, _max_inside_block_case, _level_cut_in_tie_group_case,
-    _nan_with_skipped_blocks_case,
+    _inf_with_skipped_blocks_case,
 ], ids=["no-prune", "max-inside-block", "level-cut-in-tie-group",
-        "nan-with-skipped-blocks"])
+        "inf-with-skipped-blocks"])
 def test_ap_blocks_equal_stable_argsort_version(make):
     scores, truth = make()
     assert average_precision(scores, truth) == average_precision_argsort(
@@ -531,22 +533,53 @@ def test_ap_blocks_equal_stable_argsort_version(make):
 @pytest.mark.parametrize("scores", [
     np.array([v], dtype=dtype)
     for dtype in (np.float32, np.float64)
-    for v in (0.5, -0.0, np.inf, -np.inf, np.nan)
+    for v in (0.5, -0.0, np.inf, -np.inf)
 ] + [np.array([-3]), np.array([0])], ids=repr)
 def test_ap_single_pixel(scores):
     assert average_precision(scores, np.array([1])) == 1.0
     assert average_precision_argsort(scores, np.array([1])) == 1.0
 
 
-def test_ap_nan_pixels_rank_last_in_pixel_order():
-    scores = np.array([np.nan, 0.2, np.nan, np.nan, 0.9])
-    truth = np.array([0, 0, 1, 1, 0])
-    got = average_precision(scores, truth)
-    assert got == average_precision_argsort(scores, truth)
-    # Thresholds: 0.9, 0.2, then each NaN pixel in pixel order; the two
-    # positive NaNs give precision 1/4 at recall 1/2 and 2/5 at recall 1,
-    # so 2/5 is the maximum at every recall level.
-    assert got == sum([0.4] * 11) / 11.0
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ap_single_nan_pixel_is_refused(dtype):
+    with pytest.raises(NumericError, match=r"^average precision is undefined "
+                                           r"on NaN scores \(1 found\)$"):
+        average_precision(np.array([np.nan], dtype=dtype), np.array([1]))
+
+
+@pytest.mark.parametrize("truth", [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+def test_ap_refuses_nan_scores_whatever_their_pixel_order(truth):
+    """A NaN score is no threshold: two NaN pixels are refused whichever
+    labels they carry, where ranking them in pixel order gave 1.0 for
+    truth [1, 1, 0] and 0.848 for [1, 0, 1]."""
+    scores = np.array([0.9, np.nan, np.nan])
+    with pytest.raises(NumericError, match=r"\(2 found\)"):
+        average_precision(scores, np.array(truth))
+    cm = ConfusionMatrix(2).add(np.array(truth), np.array([1, 0, 0]))
+    with pytest.raises(NumericError, match=r"\(2 found\)"):
+        build_report(cm, scores=scores, truth=np.array(truth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ap_cases(max_size=200), data=st.data())
+def test_any_nan_score_in_any_shard_is_refused(case, data):
+    """NaN scores at any pixels, positive or negative, in any shard of any
+    cut: both entry points raise NumericError counting them."""
+    scores, truth, positive_class = case
+    dtype = np.float32 if scores.dtype == np.float32 else np.float64
+    s = scores.astype(dtype)
+    at = data.draw(st.lists(st.integers(0, s.size - 1), min_size=1,
+                            unique=True))
+    s[at] = np.nan
+    message = rf"^average precision is undefined on NaN scores \({len(at)} found\)$"
+    with pytest.raises(NumericError, match=message):
+        average_precision(s, truth, positive_class)
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, s.size),
+                                            max_size=4))), s.size]
+    splits = [split_scores(s[a:b], truth[a:b] == positive_class)
+              for a, b in zip(bounds, bounds[1:])]
+    with pytest.raises(NumericError, match=message):
+        pooled_average_precision(splits)
 
 
 def test_ap_full_size_eval_case():
