@@ -13,7 +13,6 @@ across a thread pool (``_eval_worker_count``).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -124,15 +123,30 @@ def _unique_stems(frames) -> list[str]:
     return stems
 
 
+def _file_id(path) -> Optional[tuple[int, int]]:
+    """The (device, inode) of the file ``path`` names, through links, or
+    None when it cannot be stat'ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
 def _refuse_overwrite(out_dir, names, inputs) -> None:
-    """Refuse writing ``names`` in ``out_dir`` over ``inputs``; a missing
-    directory holds none. Names are compared first, directories once each."""
-    real = functools.cache(os.path.realpath)
-    for path in inputs if os.path.isdir(out_dir) else ():
-        parent, name = os.path.split(path)
-        if name in names and real(parent) == real(out_dir):
-            raise ContractError(f"output {os.path.join(out_dir, name)} "
-                                f"would overwrite input {path}")
+    """Refuse writing ``names`` in ``out_dir`` where one already is the file
+    of one of ``inputs``, by name or through a link. A missing directory
+    holds none; an input that cannot be stat'ed fails where it is read."""
+    try:
+        with os.scandir(out_dir) as entries:
+            outputs = {_file_id(e.path): e.path for e in entries
+                       if e.name in names}
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    outputs.pop(None, None)  # dangling links
+    for path in inputs if outputs else ():
+        if (out := outputs.get(_file_id(path))) is not None:
+            raise ContractError(f"output {out} would overwrite input {path}")
 
 
 def _trace_record(trace: StageTrace, frame_path) -> dict:
@@ -173,12 +187,12 @@ def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
     conv bands both ways: this thread, once done with frame k, runs the
     stage-1 bands still open (``tensor_ops.help_until``) instead of idling,
     and the helper, between bands of its own, runs the open bands of frame
-    k's stage-3 convolutions (``step`` runs stage 3 inside
-    ``tensor_ops.priority``), so a frame that fires stage 3 is not left to
-    one thread. The helper is never more than one frame ahead, and it is
-    joined before this returns or raises. Masks and score maps are the same
-    bytes as in the serial ``run_sequence``, and a frame that fails raises
-    at its own turn, after every earlier frame's ``emit``.
+    k's stage-3 convolutions (served first, see ``net._conv``), so a frame
+    that fires stage 3 is not left to one thread. The helper is never more
+    than one frame ahead, and it is joined before this returns or raises.
+    Masks and score maps are the same bytes as in the serial
+    ``run_sequence``, and a frame that fails raises at its own turn, after
+    every earlier frame's ``emit``.
     """
     state = None
     marks = [time.perf_counter()]

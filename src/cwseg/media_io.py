@@ -305,7 +305,7 @@ def write_weights(store: dict[str, np.ndarray], path) -> None:
             nb = name.encode("utf-8")
         except UnicodeEncodeError:
             raise FileFormatError(f"{path}: entry {i} name is not UTF-8") from None
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32), dtype="<f4")
+        a = np.asarray(arr, dtype="<f4", order="C")
         if (len(nb) > _MAX_NAME_BYTES or a.ndim > _MAX_RANK
                 or max(a.shape, default=0) >> 32):
             raise FileFormatError(

@@ -193,7 +193,10 @@ def build_net(cfg: NetConfig, weights: dict[str, np.ndarray]) -> StagedNet:
 def _conv(net: StagedNet, stage: StageId, name: str, x: Tensor,
           work: Optional[WorkCounter]) -> Tensor:
     p = net.layers[name]
-    out = conv2d(x, p)
+    # Stage 3 is most of a frame that fires it: in segment, the helper's
+    # stage-1 convolutions serve its bands first. Only stage 3's: stage 1
+    # is the floor on frames that skip it.
+    out = conv2d(x, p, priority=stage is StageId.STAGE3)
     if work is not None:
         work.record(name, stage,
                     out.size * p.in_channels * p.kernel_h * p.kernel_w)

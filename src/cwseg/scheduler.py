@@ -39,7 +39,7 @@ from .net import (
     run_stage2,
     run_stage3,
 )
-from .tensor_ops import Tensor, mean_abs_diff, priority
+from .tensor_ops import Tensor, mean_abs_diff
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,7 @@ def step(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
 
     deep = state is None or schedule.stage3(index, change)
     if deep:
-        # Stage 3 is most of a frame that fires it: in segment, the helper's
-        # stage-1 convolutions serve its bands first.
-        with priority():
-            score_fr = work.timed("stage3", run_stage3, net, pool4, work)
+        score_fr = work.timed("stage3", run_stage3, net, pool4, work)
     else:
         score_fr = state.cached_score_fr
     if deep or policy is SkipPolicy.FUSE_CACHED_DEEP:

@@ -10,11 +10,8 @@ Tensors are checked where they enter the package (frames, weight stores,
 ``conv2d`` and ``maxpool2d``); the elementwise kernels check only that
 their shapes agree.
 
-``conv2d``'s docstring gives the banding and thread-sharing rules. Calls
-made inside :func:`priority` (``segment``'s stage 3) are served first: any
-other ``conv2d`` call, before each band of its own, runs their unclaimed
-bands, so in ``segment`` the helper's stage 1 yields to the main thread's
-stage 3 and a frame that fires it is not left to one thread.
+``conv2d``'s docstring gives the banding and thread-sharing rules, and
+``net._conv`` the layers whose calls are served first.
 
 What limits ``segment``'s two threads depends on the frame size. At 64x64
 most calls here are small, so much of a frame is interpreter work, which
@@ -33,7 +30,6 @@ import functools
 import itertools
 import threading
 from collections import deque
-from contextlib import contextmanager
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -108,7 +104,7 @@ class ConvParams:
         object.__setattr__(self, "bias", b)
 
 
-def conv2d(x: Tensor, p: ConvParams) -> Tensor:
+def conv2d(x: Tensor, p: ConvParams, priority: bool = False) -> Tensor:
     """Cross-correlate ``x`` with ``p`` (zero padding, no kernel flip).
 
     Output spatial dims follow floor((dim + 2*pad - kernel) / stride) + 1.
@@ -127,9 +123,9 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
     The call posts its bands on a board (unless it has only one) and runs
     them itself, one claim at a time; a thread blocked in
-    :func:`help_until` may claim some of them, and so may another thread's
-    call between two of its own bands if this call was made inside
-    :func:`priority`.
+    :func:`help_until` may claim some of them. A call with ``priority``
+    (``net._conv`` says which) is served first: any call without it, before
+    each band of its own, runs the unclaimed bands of open priority calls.
     Each thread runs its bands in buffers of its own, and the band layout is
     fixed by the layer and the input shape alone, so a band's GEMM has the
     same shape and operands whichever thread runs it: the bits cannot
@@ -149,7 +145,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv2d: kernel {p.kernel_h}x{p.kernel_w} (stride {p.stride}, "
             f"pad {p.pad}) does not fit input {h}x{w}"
         )
-    call = _ConvCall(x, p, oh, ow)
+    call = _ConvCall(x, p, oh, ow, priority)
     if call.posted:
         with _board:
             call.queue.append(call)
@@ -169,7 +165,8 @@ def help_until(future: Future) -> None:
     For a thread that would otherwise block on ``future`` while the thread
     computing it runs convolutions (in ``segment``, the main thread waiting
     for the helper's stage 1). Wakes when a call is posted or the future
-    completes, and takes calls made inside :func:`priority` first. A band's
+    completes. It takes no priority call: in ``segment`` only the waiting
+    thread makes them, and all of its calls have finished. A band's
     exception goes to the ``conv2d`` call that owns the band, never to this
     thread.
     """
@@ -180,37 +177,13 @@ def help_until(future: Future) -> None:
     future.add_done_callback(wake)
     while True:
         with _board:
-            _board.wait_for(
-                lambda: future.done() or _priority_calls or _open_calls)
+            _board.wait_for(lambda: future.done() or _open_calls)
             if future.done():
                 return
-            call = (_priority_calls or _open_calls)[0]
+            call = _open_calls[0]
         call.run_bands()
         # Keep no finished call's input and output alive while waiting.
         del call
-
-
-class _Role(threading.local):
-    """Per thread: whether its calls are made inside ``priority``."""
-
-    priority = False
-
-
-_role = _Role()
-
-
-@contextmanager
-def priority():
-    """Have the calling thread's ``conv2d`` calls served first.
-
-    While such a call has unclaimed bands, every other ``conv2d`` call runs
-    them before each band of its own. Bits do not change (see ``conv2d``).
-    """
-    outer, _role.priority = _role.priority, True
-    try:
-        yield
-    finally:
-        _role.priority = outer
 
 
 def _serve_priority_calls() -> None:
@@ -224,7 +197,7 @@ def _serve_priority_calls() -> None:
         call.run_bands()
 
 
-# conv2d calls with bands not yet claimed, oldest first: those made inside
+# conv2d calls with bands not yet claimed, oldest first: those with
 # ``priority`` in ``_priority_calls``, the others in ``_open_calls``.
 # ``_board`` guards both and each call's finished-band count; it is notified
 # when a call is posted, when a helping thread finishes a call's last band
@@ -242,7 +215,8 @@ class _ConvCall:
     whoever is free takes the next band.
     """
 
-    def __init__(self, x: Tensor, p: ConvParams, oh: int, ow: int):
+    def __init__(self, x: Tensor, p: ConvParams, oh: int, ow: int,
+                 priority: bool):
         self.x, self.p, self.oh, self.ow = x, p, oh, ow
         self.k = x.shape[0] * p.kernel_h * p.kernel_w
         # Each band's GEMM re-packs the whole weight matrix; bands of at
@@ -254,7 +228,7 @@ class _ConvCall:
         # A call of one band is not posted: no other thread could share it,
         # and waking one costs more than the band.
         self.posted = len(self.starts) > 1
-        self.queue = _priority_calls if _role.priority else _open_calls
+        self.queue = _priority_calls if priority else _open_calls
         # Views of the float64 arrays ConvParams holds: no per-call cast.
         self.w64 = p.weights.reshape(p.out_channels, self.k)
         self.b64 = p.bias[:, None]
@@ -264,8 +238,7 @@ class _ConvCall:
         # buffers its owner allocated here. A thread that serves the call
         # between bands of its own would allocate them at its heap's high
         # point and grow it: peak RSS rose by 3 MB at 256x512.
-        self.spares = ([self._buffers()]
-                       if self.posted and self.queue is _priority_calls else [])
+        self.spares = [self._buffers()] if self.posted and priority else []
         self.finished = 0
         self.error: BaseException | None = None
 
@@ -276,8 +249,8 @@ class _ConvCall:
         The calling thread allocates its buffers on its first band (or takes
         the owner's spare ones) and drops them on return. A band's exception
         is kept for the owning ``conv2d`` call to raise. The owner of a call
-        made outside ``priority`` first serves the open priority calls
-        before each claim.
+        without ``priority`` first serves the open priority calls before
+        each claim.
         """
         bufs = full = error = None
         done, n = 0, len(self.starts)

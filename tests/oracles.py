@@ -335,14 +335,14 @@ def write_weights_joined(store, path):
     """CWFCN1 writer that joins every header and ``tobytes()`` payload."""
     parts = [b"CWFCN1", len(store).to_bytes(4, "little")]
     for name, arr in store.items():
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        a = np.asarray(arr, dtype="<f4", order="C")
         nb = name.encode("utf-8")
         parts.append(len(nb).to_bytes(4, "little"))
         parts.append(nb)
         parts.append(a.ndim.to_bytes(4, "little"))
         for d in a.shape:
             parts.append(int(d).to_bytes(4, "little"))
-        parts.append(a.astype("<f4").tobytes())
+        parts.append(a.tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 

@@ -512,6 +512,67 @@ def test_segment_refuses_to_write_over_its_manifest_or_weights(
     assert _file_bytes(tmp_path) == before
 
 
+def _link(path, target, how):
+    """Make ``path`` a symbolic or a hard link to ``target``."""
+    if how == "symlink":
+        path.symlink_to(target)
+    else:
+        os.link(target, path)
+
+
+@pytest.mark.parametrize("how", ["symlink", "hardlink"])
+@pytest.mark.parametrize("output", ["frame001.ppm", "frame001.scores.cwf"],
+                         ids=["mask", "scores"])
+def test_segment_refuses_to_write_through_a_link_to_a_frame(
+        tmp_path, capsys, weights_file, how, output):
+    """An output in --out that is a link to frame 0 is frame 0, whatever
+    its name: the run is refused before any write."""
+    frames, out = tmp_path / "frames", tmp_path / "out"
+    frames.mkdir()
+    out.mkdir()
+    manifest = write_frames(frames, random_frames(9, 2))
+    _link(out / output, frames / "frame000.ppm", how)
+    before = _file_bytes(tmp_path)
+    assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
+                     "--out", str(out), "--save-scores"]) == 4
+    assert capsys.readouterr().err == (
+        f"error: output {out / output} would overwrite input "
+        f"{frames / 'frame000.ppm'}\n")
+    assert _file_bytes(tmp_path) == before
+
+
+def test_segment_over_old_outputs_fails_at_a_missing_frame(
+        tmp_path, capsys, weights_file):
+    """A frame that cannot be stat'ed is not compared with the outputs
+    already in --out: it fails at its own turn, after frame 0's mask."""
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = write_frames(tmp_path, random_frames(9, 3))
+    (out / "frame000.ppm").write_bytes(b"an older run's mask")
+    (tmp_path / "frame001.ppm").unlink()
+    assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
+                     "--out", str(out)]) == 3
+    assert "frame001.ppm" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["frame000.ppm"]
+    assert read_image(out / "frame000.ppm").shape == (3, 32, 32)
+
+
+@pytest.mark.parametrize("how", ["symlink", "hardlink"])
+def test_eval_refuses_to_write_its_report_through_a_link_to_the_manifest(
+        tmp_path, capsys, how):
+    masks = [checkerboard(4, 6)] * 2
+    manifest, pred = write_eval_inputs(tmp_path, masks, masks)
+    report = tmp_path / "reports" / "r.json"
+    report.parent.mkdir()
+    _link(report, manifest, how)
+    before = _file_bytes(tmp_path)
+    assert cli.main(["eval", str(pred), str(manifest), "--out",
+                     str(report)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: output {report} would overwrite input {manifest}\n")
+    assert _file_bytes(tmp_path) == before
+
+
 @pytest.mark.parametrize("victim", ["manifest.txt", "gt001.ppm",
                                     "pred/frame001.ppm",
                                     "pred/frame001.scores.cwf"])

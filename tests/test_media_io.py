@@ -517,8 +517,8 @@ def _stores(draw):
 def test_write_weights_round_trips_every_store_it_accepts(tmp_path_factory,
                                                           store):
     """write_weights accepts exactly the stores read_weights reads back,
-    and those come back with the same names, shapes and bits; a 0-d entry
-    is stored with shape (1,), as the joined writer stores it."""
+    and those come back with the same names, shapes and bits, a 0-d entry
+    included."""
     path = tmp_path_factory.mktemp("cwf") / "w.cwf"
     readable = all(_readable(n, a.shape) for n, a in store.items())
     if not readable:
@@ -530,7 +530,7 @@ def test_write_weights_round_trips_every_store_it_accepts(tmp_path_factory,
     back = read_weights(path)
     assert list(back) == list(store)
     for name, arr in store.items():
-        assert back[name].shape == np.atleast_1d(arr).shape
+        assert back[name].shape == arr.shape
         assert back[name].tobytes() == arr.tobytes()
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cwseg.cli as cli
+import cwseg.net as net_module
 from cwseg import tensor_ops
 from cwseg import (
     DEFAULT_PALETTE,
@@ -166,6 +167,35 @@ def test_segment_with_multi_band_deep_convs_matches_serial_bytes(
         schedule, SkipPolicy.FUSE_CACHED_DEEP)
     if schedule is None:
         assert [t.frame_index for t in traces if 3 in t.fired] == [0, 4]
+
+
+@pytest.mark.parametrize("schedule", [Always(), None],
+                         ids=["always", "adaptive"])
+def test_stage3_convs_alone_are_served_first(weights, monkeypatch, schedule):
+    """Every call of conv5_1, conv5_2 and score_fr, and no other layer's,
+    is made with ``priority``, on frames where conv4_2 and conv5_2 run in
+    several bands; None is adaptive with theta at the cut."""
+    frames = drift_then_cut(shape=WIDE)
+    net = build_net(replace(CFG, height=WIDE[1], width=WIDE[2]),
+                    read_weights(weights))
+    if schedule is None:
+        schedule = adaptive_at_cut(net, frames)
+    layer_of = {id(p): name for name, p in net.layers.items()}
+    flags = {}
+    conv2d = net_module.conv2d
+
+    def recorded(x, p, priority=False):
+        flags.setdefault(layer_of[id(p)], set()).add(priority)
+        return conv2d(x, p, priority=priority)
+
+    monkeypatch.setattr(net_module, "conv2d", recorded)
+    _, traces = run_sequence(net, schedule, SkipPolicy.FUSE_CACHED_DEEP,
+                             frames)
+    fired = [t.frame_index for t in traces if 3 in t.fired]
+    assert fired == ([0, 4] if isinstance(schedule, Adaptive) else
+                     list(range(len(frames))))
+    assert flags == {name: {name in ("conv5_1", "conv5_2", "score_fr")}
+                     for name in net.layers}
 
 
 def test_segment_reads_at_most_one_frame_ahead(tmp_path, capsys, weights,

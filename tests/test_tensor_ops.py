@@ -432,7 +432,7 @@ def test_shared_bands_under_fast_thread_switching(monkeypatch):
 def test_priority_call_is_served_between_another_calls_own_bands(
         monkeypatch, fail):
     """A thread running a conv2d call of its own runs the unclaimed bands of
-    a call made inside ``priority`` before its next own band, in buffers
+    a call made with ``priority`` before its next own band, in buffers
     the priority call's owner allocated. Events fix
     the order: the other thread stops after its first own band until the
     priority call is posted, and the priority call's owner runs its first
@@ -476,14 +476,12 @@ def test_priority_call_is_served_between_another_calls_own_bands(
     other.start()
     try:
         assert first_own_done.wait(timeout=10)
-        with tensor_ops.priority():
-            if fail:
-                with pytest.raises(RuntimeError,
-                                   match="band failed while served"):
-                    conv2d(xp, pp)
-            else:
-                assert conv2d(xp, pp).tobytes() == \
-                    untiled_conv2d(xp, pp).tobytes()
+        if fail:
+            with pytest.raises(RuntimeError, match="band failed while served"):
+                conv2d(xp, pp, priority=True)
+        else:
+            assert conv2d(xp, pp, priority=True).tobytes() == \
+                untiled_conv2d(xp, pp).tobytes()
     finally:
         other.join(timeout=10)
     assert not other.is_alive()
