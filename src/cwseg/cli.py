@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -314,7 +315,22 @@ def _mask_hits(path, palette) -> np.ndarray:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _pixel_bound(truth_path) -> int:
+    """At least the pixel count of the truth mask at ``truth_path`` if it is
+    a valid one: a P6 file holds 3 bytes per pixel. 0 when it cannot be
+    stat'ed, as it then fails where it is read."""
+    try:
+        return os.stat(truth_path).st_size // 3
+    except OSError:
+        return 0
+
+
 def cmd_eval(args) -> int:
+    """Score the predictions against the truth masks, one frame per pool
+    task. With ``--scores-dir`` each frame splits its positive-class scores
+    into one float32 buffer sized by ``_pixel_bound``: its positive pixels'
+    from the front, its negative pixels' from the back. Average precision
+    sorts the two runs where they lie, so the scores are held once."""
     palette = parse_palette(args.palette)
     manifest = read_manifest(args.manifest)
     if manifest.truths is None:
@@ -336,6 +352,30 @@ def cmd_eval(args) -> int:
         _refuse_overwrite(out.parent, {out.name}, [args.manifest, *manifest.truths,
                                                    *pred_paths, *score_paths])
 
+    if score_paths:
+        bounds = [_pixel_bound(p) for p in manifest.truths]
+        # Allocated here, not in a worker: each pass's pool threads may
+        # allocate in malloc arenas of their own.
+        pooled = np.empty(sum(bounds), "<f4")
+        free = [0, pooled.size]  # the unreserved slots, [front, back)
+        reserve_lock = threading.Lock()
+
+    def reserve(i, positive):
+        """Slices of ``pooled`` for frame ``i``'s scores of the pixels in
+        and out of the flat mask ``positive``."""
+        if positive.size > bounds[i]:
+            raise FileFormatError(
+                f"{manifest.truths[i]}: mask has {positive.size} pixels, more "
+                f"than its file size allowed ({bounds[i]}) when eval "
+                f"started; it changed while eval ran"
+            )
+        n_pos = int(np.count_nonzero(positive))
+        n_neg = positive.size - n_pos
+        with reserve_lock:
+            front, back = free
+            free[:] = front + n_pos, back - n_neg
+        return pooled[front:front + n_pos], pooled[back - n_neg:back]
+
     def eval_frame(i):
         stem, truth_path, pred_path = stems[i], manifest.truths[i], pred_paths[i]
         if not os.path.exists(pred_path):
@@ -351,18 +391,12 @@ def cmd_eval(args) -> int:
             )
         cm = ConfusionMatrix(num_classes).add_hits(truth_hits, pred_hits)
         if not score_paths:
-            return cm, None
+            return cm
         scores_path = score_paths[i]
         if not os.path.exists(scores_path):
             raise FileFormatError(
                 f"missing scores for frame '{stem}': {scores_path}"
             )
-        # The kept score buffers are allocated before the file is read, so
-        # they do not interleave with freed file buffers in the heap.
-        truth_positive = truth_hits[args.positive_class]
-        positive = truth_positive.ravel()
-        n_pos = int(np.count_nonzero(positive))
-        kept = (np.empty(n_pos, "<f4"), np.empty(positive.size - n_pos, "<f4"))
         store = read_weights(scores_path)
         if "scores" not in store:
             raise FileFormatError(f"{scores_path}: no 'scores' entry")
@@ -372,22 +406,25 @@ def cmd_eval(args) -> int:
                 f"{scores_path}: scores shape {chw.shape} lacks positive "
                 f"class channel {args.positive_class}"
             )
+        truth_positive = truth_hits[args.positive_class]
         if chw.shape[1:] != truth_positive.shape:
             raise ShapeError(
                 f"{scores_path}: scores spatial shape {chw.shape[1:]} != "
                 f"truth shape {truth_positive.shape}"
             )
-        return cm, split_scores(chw[args.positive_class].ravel(), positive,
-                                kept)
+        positive = truth_positive.ravel()
+        split_scores(chw[args.positive_class].ravel(), positive,
+                     reserve(i, positive))
+        return cm
 
     avg_precision = None
     with ThreadPoolExecutor(max_workers=_eval_worker_count()) as pool:
-        results = list(pool.map(eval_frame, range(len(stems))))
-        total_cm = sum((cm for cm, _ in results), ConfusionMatrix(num_classes))
-        splits = [split for _, split in results]
-        del results  # the combine frees each frame's split as it pools them
+        total_cm = sum(pool.map(eval_frame, range(len(stems))),
+                       ConfusionMatrix(num_classes))
         if score_paths:
-            avg_precision = pooled_average_precision(splits, pool.map)
+            front, back = free
+            avg_precision = pooled_average_precision(
+                [(pooled[:front], pooled[back:])], pool.map)
 
     report = replace(build_report(total_cm, positive_class=args.positive_class),
                      avg_precision=avg_precision)

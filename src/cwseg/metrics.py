@@ -242,8 +242,8 @@ def split_scores(scores: np.ndarray, positive: np.ndarray,
     flat ``scores`` of the flat boolean mask ``positive``, then the others.
 
     ``out`` may hold the two score buffers, sized to the positive and the
-    negative pixel counts, so that a caller can allocate them before it
-    reads the scores.
+    negative pixel counts, so that a caller can split every shard into
+    slices of one pooled buffer.
     """
     return (np.compress(positive, scores, out=out[0]),
             np.compress(~positive, scores, out=out[1]))
@@ -288,11 +288,12 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     every ``split_scores`` pair in ``splits``, pooled in order.
 
     ``splits`` is emptied, so each shard's arrays are freed once they are
-    pooled. ``pool_map`` runs the two sorts, of the positive and of the
-    negative scores, as independent tasks; a thread pool's ``map`` runs them
-    on two workers. Every count is an exact integer and every precision the
-    same float64 division, so the result is the same bits whatever the
-    shards and the map.
+    pooled. The arrays of a lone shard are sorted in place, so they must be
+    writable; several shards are concatenated first. ``pool_map`` runs the
+    two sorts, of the positive and of the negative scores, as independent
+    tasks; a thread pool's ``map`` runs them on two workers. Every count is
+    an exact integer and every precision the same float64 division, so the
+    result is the same bits whatever the shards and the map.
 
     Every positive gives a point: tp, the positives from it up, and k, all
     pixels from it up, counting the negatives that tie with it. At the
@@ -334,8 +335,9 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
 
 
 def _sorted_run(parts: list) -> np.ndarray:
-    """Concatenate ``parts``, empty the list and sort the run in place."""
-    run = np.concatenate(parts)
+    """Concatenate ``parts`` (a lone part is taken as it is, not copied),
+    empty the list and sort the run in place."""
+    run = parts[0] if len(parts) == 1 else np.concatenate(parts)
     parts.clear()
     run.sort()
     return run

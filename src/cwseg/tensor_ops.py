@@ -237,8 +237,11 @@ class _ConvCall:
         # The first other thread to run bands of a priority call uses
         # buffers its owner allocated here. A thread that serves the call
         # between bands of its own would allocate them at its heap's high
-        # point and grow it: peak RSS rose by 3 MB at 256x512.
-        self.spares = [self._buffers()] if self.posted and priority else []
+        # point and grow it: peak RSS rose by 3 MB at 256x512. Where no
+        # other thread exists (a serial run, or segment's frame 0), none
+        # is allocated.
+        self.spares = ([self._buffers()] if self.posted and priority
+                       and threading.active_count() > 1 else [])
         self.finished = 0
         self.error: BaseException | None = None
 

@@ -293,6 +293,89 @@ def test_eval_report_is_the_same_bytes_in_any_frame_order(shuffled_eval_dir,
     assert json.loads(reports[0])["avg_precision"] is not None
 
 
+@pytest.fixture(scope="module")
+def mixed_size_eval_dir(tmp_path_factory):
+    """Six frames of three sizes: truth and predicted masks, score stores
+    with ties, and the pooled positive scores and int64 truth labels."""
+    root = tmp_path_factory.mktemp("mixed_size_eval")
+    rng = np.random.default_rng(812)
+    shapes = [(8, 12), (16, 20), (8, 12), (16, 20), (5, 7), (16, 20)]
+    truths = [rng.integers(0, 2, shape) for shape in shapes]
+    preds = [np.where(rng.random(t.shape) < 0.7, t, 1 - t) for t in truths]
+    _, pred_dir = write_eval_inputs(root, truths, preds)
+    chws = [rng.integers(-4, 5, (2, *t.shape)).astype(np.float32) / 4
+            for t in truths]
+    _write_scores(pred_dir, chws)
+    return root, truths, chws
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_eval_pools_frames_of_different_sizes(mixed_size_eval_dir, capsys,
+                                              monkeypatch, workers):
+    """Frames of three sizes, in manifest order and reversed: the same
+    report bytes, with avg_precision of the pooled scores and every other
+    field from build_report of the pooled labels. The switch interval is
+    short, so workers interleave as they take slots of the pooled buffer."""
+    root, truths, chws = mixed_size_eval_dir
+    pred = root / "pred"
+    monkeypatch.setattr(cli, "_eval_worker_count", lambda: workers)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for name, order in (("forward.txt", range(6)),
+                            ("reversed.txt", reversed(range(6)))):
+            (root / name).write_text("".join(
+                f"frame{i:03d}.ppm gt{i:03d}.ppm\n" for i in order))
+            capsys.readouterr()
+            assert cli.main(["eval", str(pred), str(root / name),
+                             "--scores-dir", str(pred)]) == 0
+            reports.append(capsys.readouterr().out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1]
+    cm = ConfusionMatrix(2)
+    for i in range(6):
+        cm.add(truths[i], decode_gt_mask_int64(
+            read_image(pred / f"frame{i:03d}.ppm"), DEFAULT_PALETTE))
+    labels = np.concatenate([t.ravel() for t in truths])
+    scores = np.concatenate([chw[1].ravel() for chw in chws])
+    want = build_report(cm).to_dict()
+    del want["avg_precision"]
+    got = json.loads(reports[0])
+    assert got.pop("avg_precision") == average_precision_argsort(scores, labels)
+    assert got == want
+
+
+@pytest.mark.parametrize("slack", [0, -1], ids=["exact", "one-short"])
+def test_eval_refuses_a_truth_larger_than_its_stat_bound(
+        mixed_size_eval_dir, capsys, monkeypatch, slack, tmp_path):
+    """A truth mask whose pixels outnumber the bound eval sized its pooled
+    scores by (as when it grows after eval stat'ed it) exits 3 naming it,
+    with no report; a bound of exactly its pixels is enough."""
+    root, truths, _ = mixed_size_eval_dir
+    pred, grown = root / "pred", root / "gt003.ppm"
+    pixel_bound = cli._pixel_bound
+    monkeypatch.setattr(cli, "_pixel_bound", lambda path: (
+        truths[3].size + slack if Path(path) == grown else pixel_bound(path)))
+    manifest = root / "forward.txt"
+    manifest.write_text("".join(f"frame{i:03d}.ppm gt{i:03d}.ppm\n"
+                                for i in range(6)))
+    report = tmp_path / "report.json"
+    code = cli.main(["eval", str(pred), str(manifest), "--scores-dir",
+                     str(pred), "--out", str(report)])
+    out, err = capsys.readouterr()
+    if slack == 0:
+        assert code == 0, err
+        assert report.read_text() == out
+        return
+    assert code == 3
+    assert out == "" and not report.exists()
+    assert err == (f"error: {grown}: mask has 320 pixels, more than its file "
+                   f"size allowed (319) when eval started; it changed while "
+                   f"eval ran\n")
+
+
 def test_eval_refuses_a_nan_score_with_exit_4_and_no_report(tmp_path):
     masks = [checkerboard(4, 6)] * 2
     manifest, pred = write_eval_inputs(tmp_path, masks, masks)

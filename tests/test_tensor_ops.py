@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cwseg import (
+    Always,
     ConvParams,
+    NetConfig,
     ShapeError,
+    SkipPolicy,
     add,
+    build_net,
     conv2d,
     crop_center,
+    gen_weights,
     maxpool2d,
     mean_abs_diff,
     relu,
+    run_sequence,
     upsample_bilinear,
 )
 from cwseg import tensor_ops
@@ -28,6 +34,7 @@ from oracles import (
     upsample_bilinear_fancy,
     upsample_bilinear_oracle,
 )
+from testutil import make_frame
 
 
 def t(data):
@@ -493,6 +500,32 @@ def test_priority_call_is_served_between_another_calls_own_bands(
     assert not tensor_ops._priority_calls and not tensor_ops._open_calls
     # The priority call's owner allocated the serving thread's buffers.
     assert sorted(allocated) == [(False, True), (False, True), (True, False)]
+
+
+def test_serial_run_allocates_one_buffer_set_per_conv_call(monkeypatch):
+    """Where no other thread exists, a posted priority call (stage 3's
+    convs at 64x1024) allocates no spare buffers for one."""
+    cfg = NetConfig(in_channels=3, num_classes=2, base_width=2, height=64,
+                    width=1024)
+    net = build_net(cfg, gen_weights(cfg, 7))
+    calls, allocated = [], []
+    init, buffers = tensor_ops._ConvCall.__init__, tensor_ops._ConvCall._buffers
+
+    def logged_init(call, *args, **kwargs):
+        init(call, *args, **kwargs)
+        calls.append(call.posted and call.queue is tensor_ops._priority_calls)
+
+    def logged_buffers(call):
+        allocated.append(call)
+        return buffers(call)
+
+    monkeypatch.setattr(tensor_ops._ConvCall, "__init__", logged_init)
+    monkeypatch.setattr(tensor_ops._ConvCall, "_buffers", logged_buffers)
+    assert threading.active_count() == 1
+    frames = [make_frame(3, 64, 1024, salt) for salt in range(3)]
+    run_sequence(net, Always(), SkipPolicy.FUSE_CACHED_DEEP, frames)
+    assert any(calls)  # some priority calls were posted
+    assert len(allocated) == len(calls)
 
 
 class CountingBoard(threading.Condition):
