@@ -424,7 +424,7 @@ def cmd_eval(args) -> int:
         if score_paths:
             front, back = free
             avg_precision = pooled_average_precision(
-                [(pooled[:front], pooled[back:])], pool.map)
+                pooled[:front], pooled[back:], pool.map)
 
     report = replace(build_report(total_cm, positive_class=args.positive_class),
                      avg_precision=avg_precision)

@@ -10,13 +10,13 @@ All values are fractions in [0, 1]; rendering as percentages is the
 caller's business. Classes absent from both truth and prediction are
 skipped when averaging, not counted as zeros.
 
-Average precision is computed from shards of pixels, such as frames:
-``split_scores`` splits each shard, which a worker pool can do, and
-``pooled_average_precision`` sorts the pooled positive and negative scores
-as two tasks of that pool, then computes precision only in the blocks of
-positives where it can set a recall level's maximum, with the same bits as
-a sweep over every threshold. Every distinct score is a threshold, and a
-NaN score is refused, so the result does not depend on pixel order.
+Average precision: ``split_scores`` splits pixels (of a frame, say, into
+slices of one pooled buffer) into positive and negative scores, and
+``pooled_average_precision`` sorts the two runs in place as two tasks of a
+worker pool, then computes precision only in the blocks of positives where
+it can set a recall level's maximum, with the same bits as a sweep over
+every threshold. Every distinct score is a threshold, and a NaN score is
+refused, so the result does not depend on pixel order.
 """
 from __future__ import annotations
 
@@ -238,11 +238,11 @@ class BinaryStats:
 
 def split_scores(scores: np.ndarray, positive: np.ndarray,
                  out: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """Split one shard of pixels (a frame, say) for average precision: the
-    flat ``scores`` of the flat boolean mask ``positive``, then the others.
+    """Split pixels (a frame, say) for average precision: the flat
+    ``scores`` of the flat boolean mask ``positive``, then the others.
 
     ``out`` may hold the two score buffers, sized to the positive and the
-    negative pixel counts, so that a caller can split every shard into
+    negative pixel counts, so that a caller can split every frame into
     slices of one pooled buffer.
     """
     return (np.compress(positive, scores, out=out[0]),
@@ -261,7 +261,7 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
 
     Float32 scores are kept as float32, which orders and ties them as
     float64 would; any other dtype is converted to float64. This is
-    ``pooled_average_precision`` of the one shard ``split_scores`` makes.
+    ``pooled_average_precision`` of the pair ``split_scores`` makes.
     """
     s = np.asarray(scores)
     if s.dtype != np.float32:
@@ -273,7 +273,7 @@ def average_precision(scores: np.ndarray, truth: np.ndarray,
             f"scores shape {np.asarray(scores).shape} != "
             f"truth shape {np.asarray(truth).shape}"
         )
-    return pooled_average_precision([split_scores(s, t == positive_class)])
+    return pooled_average_precision(*split_scores(s, t == positive_class))
 
 
 # Positives per block: a block evaluated point by point searches a slice of
@@ -283,17 +283,17 @@ _AP_BLOCK = 1 << 12
 _RECALL_LEVELS = np.arange(11) / 10.0
 
 
-def pooled_average_precision(splits: list, pool_map=map) -> float:
-    """Average precision (see :func:`average_precision`) of the pixels of
-    every ``split_scores`` pair in ``splits``, pooled in order.
+def pooled_average_precision(pos: np.ndarray, neg: np.ndarray,
+                             pool_map=map) -> float:
+    """Average precision (see :func:`average_precision`) of the pixels whose
+    scores are ``pos`` (positive pixels) and ``neg`` (the others), as
+    ``split_scores`` splits them.
 
-    ``splits`` is emptied, so each shard's arrays are freed once they are
-    pooled. The arrays of a lone shard are sorted in place, so they must be
-    writable; several shards are concatenated first. ``pool_map`` runs the
-    two sorts, of the positive and of the negative scores, as independent
-    tasks; a thread pool's ``map`` runs them on two workers. Every count is
-    an exact integer and every precision the same float64 division, so the
-    result is the same bits whatever the shards and the map.
+    Both arrays are sorted in place, so they must be writable. ``pool_map``
+    runs the two sorts as independent tasks; a thread pool's ``map`` runs
+    them on two workers. Every count is an exact integer and every
+    precision the same float64 division, so the result is the same bits
+    whatever the order of the scores and the map.
 
     Every positive gives a point: tp, the positives from it up, and k, all
     pixels from it up, counting the negatives that tie with it. At the
@@ -314,13 +314,11 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     of the smallest level holding it cannot change any level's maximum;
     every other block is evaluated point by point.
     """
-    if not any(pos.size for pos, _ in splits):
+    if not pos.size:
         raise NumericError(
             "average precision is undefined: no positive pixels in truth"
         )
-    runs = ([pos for pos, _ in splits], [neg for _, neg in splits])
-    splits.clear()
-    pos, neg = pool_map(_sorted_run, runs)
+    list(pool_map(np.ndarray.sort, (pos, neg)))  # builtin map is lazy
     # np.sort places NaNs last, so a run holds one only if it ends in one.
     nans = sum(run.size - int(np.searchsorted(run, run[-1]))
                for run in (pos, neg) if run.size and np.isnan(run[-1]))
@@ -332,15 +330,6 @@ def pooled_average_precision(splits: list, pool_map=map) -> float:
     for level_max in _block_maxima(pos, neg):
         total += float(level_max)
     return total / 11.0
-
-
-def _sorted_run(parts: list) -> np.ndarray:
-    """Concatenate ``parts`` (a lone part is taken as it is, not copied),
-    empty the list and sort the run in place."""
-    run = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    parts.clear()
-    run.sort()
-    return run
 
 
 def _block_maxima(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:

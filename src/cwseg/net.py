@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 from .tensor_ops import (
     ConvParams,
     Tensor,
@@ -260,7 +260,9 @@ def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> 
 
 def fuse_and_upsample(net, score_fr: Tensor, score_pool4: Tensor,
                       score_pool3: Tensor) -> Tensor:
-    """Skip-fuse the three score maps up to full input resolution."""
+    """Skip-fuse the three score maps up to full input resolution; a
+    non-finite result (neighbouring scores that differ by more than
+    float32's maximum overflow the upsampling) raises NumericError."""
     c = net.cfg.num_classes
     for name, t in (("score_fr", score_fr), ("score_pool4", score_pool4),
                     ("score_pool3", score_pool3)):
@@ -271,7 +273,10 @@ def fuse_and_upsample(net, score_fr: Tensor, score_pool4: Tensor,
     u = add(u, crop_center(score_pool4, u.shape[1], u.shape[2]))
     u = upsample_bilinear(u, 2)
     u = add(u, crop_center(score_pool3, u.shape[1], u.shape[2]))
-    return upsample_bilinear(u, 8)
+    u = upsample_bilinear(u, 8)
+    if not np.isfinite(u).all():
+        raise NumericError("fusion produced non-finite values")
+    return u
 
 
 def argmax_mask(final_scores: Tensor) -> np.ndarray:

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -438,62 +439,100 @@ def pool_maps():
         yield {"builtin": map, "2 workers": two.map, "4 workers": four.map}
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_ap_cases(max_size=300), data=st.data())
-def test_sharded_ap_equals_stable_argsort_version(pool_maps, case, data):
-    """Shards at random cuts (empty, without positives, infinite in several),
-    split with and without preallocated buffers and combined with blocks
-    of 1 to 8 positives, so that block edges fall inside tie groups and
-    blocks are both skipped and evaluated; every map gives the oracle's
-    result on the concatenation."""
-    scores, truth, positive_class = case
-    want = average_precision_argsort(scores, truth, positive_class)
-    s = scores if scores.dtype == np.float32 else scores.astype(np.float64)
-    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, s.size),
-                                            max_size=4))), s.size]
-    preallocate = data.draw(st.booleans())
-    block = data.draw(st.integers(1, 8))
+def pool_as_eval(scores, positive, shards, pool_map, slack=0):
+    """Split each ``(a, b)`` shard of the flat ``scores`` and ``positive``
+    into one buffer as ``cmd_eval`` splits frames: under a lock, a shard
+    takes its positives' slots from the front and its negatives' from the
+    back, in the order ``pool_map`` runs it. ``slack`` NaN slots stay
+    between the runs, as ``cmd_eval``'s size bound leaves them. Returns
+    the two runs."""
+    buf = np.full(scores.size + slack, np.nan, scores.dtype)
+    free = [0, buf.size]
+    lock = threading.Lock()
 
     def split(shard):
         a, b = shard
-        positive = truth[a:b] == positive_class
-        n_pos = int(np.count_nonzero(positive))
-        out = (np.empty(n_pos, s.dtype), np.empty(b - a - n_pos, s.dtype))
-        return split_scores(s[a:b], positive, out if preallocate else
-                            (None, None))
+        n_pos = int(np.count_nonzero(positive[a:b]))
+        n_neg = b - a - n_pos
+        with lock:
+            front, back = free
+            free[:] = front + n_pos, back - n_neg
+        split_scores(scores[a:b], positive[a:b],
+                     (buf[front:front + n_pos], buf[back - n_neg:back]))
+
+    list(pool_map(split, shards))
+    front, back = free
+    return buf[:front], buf[back:]
+
+
+def random_shards(data, size):
+    """Cuts of ``range(size)`` at random points, empty shards included, in
+    a random order."""
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, size),
+                                            max_size=4))), size]
+    return data.draw(st.permutations(list(zip(bounds, bounds[1:]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ap_cases(max_size=300), data=st.data())
+def test_sharded_ap_equals_stable_argsort_version(pool_maps, case, data):
+    """Shards at random cuts (empty, without positives, infinite in several)
+    in random order, split into one buffer as eval does or split alone and
+    concatenated, and combined with blocks of 1 to 8 positives, so that
+    block edges fall inside tie groups and blocks are both skipped and
+    evaluated; every map gives the oracle's result on the concatenation."""
+    scores, truth, positive_class = case
+    want = average_precision_argsort(scores, truth, positive_class)
+    s = scores if scores.dtype == np.float32 else scores.astype(np.float64)
+    positive = truth == positive_class
+    shards = random_shards(data, s.size)
+    preallocate = data.draw(st.booleans())
+    slack = data.draw(st.integers(0, 3))
+    block = data.draw(st.integers(1, 8))
+
+    def split_alone(shard):
+        a, b = shard
+        return split_scores(s[a:b], positive[a:b])
 
     old_interval, old_block = sys.getswitchinterval(), metrics._AP_BLOCK
     sys.setswitchinterval(1e-5)
     metrics._AP_BLOCK = block
     try:
         for pool_map in pool_maps.values():
-            splits = list(pool_map(split, zip(bounds, bounds[1:])))
-            assert pooled_average_precision(splits, pool_map) == want
-            assert splits == []
+            if preallocate:
+                pos, neg = pool_as_eval(s, positive, shards, pool_map, slack)
+            else:
+                pos, neg = map(np.concatenate,
+                               zip(*pool_map(split_alone, shards)))
+            assert pooled_average_precision(pos, neg, pool_map) == want
     finally:
         metrics._AP_BLOCK = old_block
         sys.setswitchinterval(old_interval)
 
 
-def test_lone_shard_is_sorted_where_it_lies():
-    """A lone shard's runs are sorted in place, not copied: the pooled AP
-    of 2**20 float32 scores raises the traced peak by less than a tenth of
-    their bytes."""
+def test_ap_sorts_the_runs_where_they_lie():
+    """The two runs are sorted in place, not copied: the pooled AP of 2**20
+    float32 scores split into two slices of one buffer raises the traced
+    peak by less than a tenth of their bytes, and leaves both slices
+    sorted."""
     rng = np.random.default_rng(20)
     n = 1 << 20
     truth = (rng.random(n) < 0.4).astype(np.uint8)
     scores = rng.standard_normal(n, dtype=np.float32) + np.float32(0.5) * truth
     want = average_precision_argsort(scores, truth)
-    pos, neg = split_scores(scores, truth == 1)
+    n_pos = int(np.count_nonzero(truth))
+    buf = np.empty(n, np.float32)
+    pos, neg = split_scores(scores, truth == 1, (buf[:n_pos], buf[n_pos:]))
     average_precision(scores[:100], truth[:100])  # numpy's lazy imports
     tracemalloc.start()
     try:
-        assert pooled_average_precision([(pos, neg)]) == want
+        assert pooled_average_precision(pos, neg) == want
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (pos.nbytes + neg.nbytes) / 10, peak
-    assert (np.diff(pos) >= 0).all() and (np.diff(neg) >= 0).all()
+    assert peak < buf.nbytes / 10, peak
+    assert (np.diff(buf[:n_pos]) >= 0).all()
+    assert (np.diff(buf[n_pos:]) >= 0).all()
 
 
 def _no_prune_case():
@@ -596,12 +635,10 @@ def test_any_nan_score_in_any_shard_is_refused(case, data):
     message = rf"^average precision is undefined on NaN scores \({len(at)} found\)$"
     with pytest.raises(NumericError, match=message):
         average_precision(s, truth, positive_class)
-    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, s.size),
-                                            max_size=4))), s.size]
-    splits = [split_scores(s[a:b], truth[a:b] == positive_class)
-              for a, b in zip(bounds, bounds[1:])]
+    pos, neg = pool_as_eval(s, truth == positive_class,
+                            random_shards(data, s.size), map)
     with pytest.raises(NumericError, match=message):
-        pooled_average_precision(splits)
+        pooled_average_precision(pos, neg)
 
 
 def test_ap_full_size_eval_case():
@@ -616,11 +653,12 @@ def test_ap_full_size_eval_case():
     want = average_precision_argsort(scores, truth)
     assert average_precision(scores, truth) == want
     assert 0.5 < want < 1.0
-    # As eval pools it: 24 frame shards on two workers.
+    # As eval pools it: 24 frame shards split into one buffer on two
+    # workers, whose runs are sorted on them.
+    frames = [(a, a + n // 24) for a in range(0, n, n // 24)]
     with ThreadPoolExecutor(2) as pool:
-        splits = [split_scores(s, t == 1) for s, t in
-                  zip(np.split(scores, 24), np.split(truth, 24))]
-        assert pooled_average_precision(splits, pool.map) == want
+        pos, neg = pool_as_eval(scores, truth == 1, frames, pool.map)
+        assert pooled_average_precision(pos, neg, pool.map) == want
 
 
 def test_ap_shape_mismatch():

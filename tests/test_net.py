@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from cwseg import (
     ContractError,
     NetConfig,
+    NumericError,
     ShapeError,
     WorkCounter,
     argmax_mask,
@@ -108,6 +109,21 @@ def test_fusion_zero_inputs_and_chain():
     want = upsample_bilinear(upsample_bilinear(upsample_bilinear(fr, 2), 2), 8)
     assert got.shape == (c, 32, 32)
     np.testing.assert_array_equal(got, want)
+
+
+def test_fusion_refuses_non_finite_output():
+    """Finite maps whose neighbouring score_pool3 columns differ by more
+    than float32's maximum overflow the x8 upsampling's lerp."""
+    net = tiny_net()
+    c = net.cfg.num_classes
+    z32 = np.zeros((c, 1, 1), dtype=np.float32)
+    z16 = np.zeros((c, 2, 2), dtype=np.float32)
+    s8 = np.zeros((c, 4, 4), dtype=np.float32)
+    s8[0, :, 0::2], s8[0, :, 1::2] = 3e38, -3e38
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError,
+                          match="^fusion produced non-finite values$"):
+        fuse_and_upsample(net, z32, z16, s8)
 
 
 def test_fusion_rejects_wrong_class_channels():

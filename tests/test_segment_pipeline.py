@@ -319,6 +319,37 @@ def test_stage1_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fusion_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys):
+    # Stage 1 carries input channel 0, doubled, to pool3's channel 0, and
+    # score_pool3 maps its 0 and 2 to -1.8e38 and +1.8e38; the other layers
+    # are zero. The black frame fuses to a constant map, while the frame
+    # of 8-pixel column stripes gives score_pool3 columns that alternate
+    # between the two, so the x8 upsampling's lerp overflows.
+    store = {k: np.zeros_like(v) for k, v in gen_weights(CFG, 7).items()}
+    for name in ("conv1_1", "conv1_2", "conv2_1", "conv2_2", "conv3_1",
+                 "conv3_2"):
+        store[name][0, 0, 1, 1] = 2.0 if name == "conv1_1" else 1.0
+    store["score_pool3"][0, 0] = 1.8e38
+    store["score_pool3.bias"][0] = -1.8e38
+    weights = tmp_path / "fusion.cwf"
+    write_weights(store, weights)
+    black = np.zeros((3, 32, 32), dtype=np.float32)
+    stripes = black.copy()
+    stripes[:, :, np.arange(32) // 8 % 2 == 0] = 1.0
+    manifest, paths = write_sequence(tmp_path, [black, stripes, black])
+
+    assert segment([manifest, "--weights", weights, "--out",
+                    tmp_path / "out"]) == 4
+    err = capsys.readouterr().err
+    assert "fusion produced non-finite values" in err
+    assert "Traceback" not in err
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
+    assert written == [paths[0].name]
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [1, 4])
 def test_stage3_overflow_served_by_helper_exits_4_with_earlier_masks_only(
         tmp_path, capsys, monkeypatch, bad):
