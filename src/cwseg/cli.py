@@ -172,8 +172,11 @@ def _firing_counts(traces) -> dict[str, int]:
 
 def _read_stage1(net: StagedNet, frame_path) -> _Stage1Result:
     """Decode a frame and run its stage 1; the frame loop's helper-thread
-    job."""
-    return _time_stage1(net, read_image(frame_path))
+    job. numpy's overflow and invalid-value warnings are off here as in
+    ``main``: ``errstate`` is per thread, this job also serves stage-3
+    bands, and every result is checked for finiteness."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _time_stage1(net, read_image(frame_path))
 
 
 def _run_frames(net: StagedNet, schedule: ClockSchedule, policy: SkipPolicy,
@@ -306,9 +309,9 @@ def _eval_worker_count() -> int:
 
 
 def _mask_hits(path, palette) -> np.ndarray:
-    """``palette_hits`` of the mask file at ``path``; its palette and RGB
-    errors name the file."""
-    image = read_image(path)
+    """``palette_hits`` of the mask file at ``path``, matched on the file's
+    uint8 planes; its palette and RGB errors name the file."""
+    image = read_image(path, scaled=False)
     try:
         return palette_hits(image, palette)
     except (FileFormatError, ShapeError) as exc:
@@ -327,7 +330,9 @@ def _pixel_bound(truth_path) -> int:
 
 def cmd_eval(args) -> int:
     """Score the predictions against the truth masks, one frame per pool
-    task. With ``--scores-dir`` each frame splits its positive-class scores
+    task. Each mask file is matched against the palette on its uint8 planes
+    (``_mask_hits``), truth first, with no float image. With
+    ``--scores-dir`` each frame splits its positive-class scores
     into one float32 buffer sized by ``_pixel_bound``: its positive pixels'
     from the front, its negative pixels' from the back. Average precision
     sorts the two runs where they lie, so the scores are held once."""
@@ -578,7 +583,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A numeric fault surfaces as one error line: the results that can
+        # overflow are checked for finiteness, so numpy's warnings are off.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,10 @@ PNM payloads are parsed from a read-only view of the file's bytes;
 pixels into its float32 tensor from that view. A ground-truth mask is
 matched against the palette by ``palette_hits``, one boolean mask per
 colour, which is what ``eval`` counts; ``decode_gt_mask`` builds int64
-labels from those masks, with the same checks and errors.
+labels from those masks, with the same checks and errors. ``eval`` matches
+a mask file on its bytes: ``read_image(path, scaled=False)`` returns the
+de-interleaved uint8 planes, which ``palette_hits`` compares with the
+palette as they are, so no float32 image is built for a mask.
 
 Weight store format (magic ``CWFCN1``), all integers little-endian:
 
@@ -142,12 +145,14 @@ def write_pnm(path, pixels: np.ndarray) -> None:
         fh.write(memoryview(px))
 
 
-def read_image(path) -> Tensor:
+def read_image(path, scaled: bool = True) -> Tensor:
     """Read a PNM file as a float32 (C, H, W) tensor scaled to [0, 1].
 
     The pixels are read from a view of the file's bytes; a P6 file's
     channels are de-interleaved into one contiguous uint8 copy, so the one
-    division that scales them reads contiguous planes.
+    division that scales them reads contiguous planes. With
+    ``scaled=False`` those uint8 (C, H, W) planes are returned as they are,
+    unscaled; a P5 file's one plane is then a read-only view of its bytes.
     """
     px = _pnm_pixels(path)
     if px.ndim == 2:
@@ -155,6 +160,8 @@ def read_image(path) -> Tensor:
     else:
         planes = np.empty((3,) + px.shape[:2], dtype=np.uint8)
         np.copyto(planes, np.transpose(px, (2, 0, 1)))
+    if not scaled:
+        return planes
     out = np.empty(planes.shape, dtype=np.float32)
     return np.divide(planes, np.float32(255.0), out=out)
 
@@ -180,27 +187,43 @@ def palette_hits(image: Tensor,
     """One boolean (H, W) mask per palette colour, as a (K, H, W) array: the
     pixels of an RGB mask image that have that colour.
 
-    The image is the [0, 1]-scaled tensor from read_image. A colour listed
-    twice marks its pixels in its last entry only, so no pixel is in two
-    masks. Any pixel whose colour is not in the palette is an error naming
-    the colour and location.
+    The image is either the uint8 planes from ``read_image(path,
+    scaled=False)``, compared with the palette as they are, or a [0, 1]
+    float tensor such as ``read_image`` returns, whose channels are scaled
+    back to 0..255 and rounded first; a mask file gives the same hits and
+    errors either way. A colour listed twice marks its pixels in its last
+    entry only, so no pixel is in two masks, and an entry outside 0..255
+    matches no pixel. Any pixel whose colour is not in the palette is an
+    error naming the colour and location.
     """
-    img = as_chw(image)
+    img = np.asarray(image)
+    raw = img.dtype == np.uint8
+    if not raw:
+        img = as_chw(img)
+    elif img.ndim != 3 or min(img.shape) < 1:
+        raise ShapeError(f"expected (channels, height, width) uint8 planes, "
+                         f"got shape {img.shape}")
     if img.shape[0] != 3:
         raise ShapeError(f"mask image must be RGB (3 channels), got {img.shape[0]}")
     shape = img.shape[1:]
     last = {tuple(color): i for i, color in enumerate(palette)}
+    # An entry outside 0..255 is left out and its mask stays empty: not
+    # every numpy compares uint8 with a Python int that uint8 cannot hold.
+    live = [i for i in last.values() if all(0 <= v <= 255 for v in palette[i])]
     # One block for every mask: a block freed whole is reused by the next
     # call, where as many separate masks come back as fresh pages.
     hits = np.zeros((len(palette),) + shape, dtype=bool)
-    # Each channel is scaled and rounded in turn into one buffer; rounded
-    # float32 values compare exactly with the integer palette.
-    channel = np.empty(shape, dtype=np.float32)
+    # A float image's channels are scaled and rounded in turn into one
+    # buffer; rounded float32 values compare exactly with the palette.
+    channel = None if raw else np.empty(shape, dtype=np.float32)
     equal = np.empty(shape, dtype=bool)
     for c in range(3):
-        np.multiply(img[c], np.float32(255.0), out=channel)
-        np.rint(channel, out=channel)
-        for i in last.values():
+        if raw:
+            channel = img[c]
+        else:
+            np.multiply(img[c], np.float32(255.0), out=channel)
+            np.rint(channel, out=channel)
+        for i in live:
             if c == 0:
                 np.equal(channel, palette[i][0], out=hits[i])
             else:
@@ -208,8 +231,10 @@ def palette_hits(image: Tensor,
     known = np.logical_or.reduce(hits, axis=0)
     if not known.all():
         row, col = divmod(int(np.argmin(known)), shape[1])
+        rgb = img[:, row, col]
+        if not raw:
+            rgb = np.rint(rgb * np.float32(255.0))
         # A NaN or infinite channel has no integer value; name it as is.
-        rgb = np.rint(img[:, row, col] * np.float32(255.0))
         color = tuple(int(v) if math.isfinite(v) else float(v) for v in rgb)
         raise FileFormatError(
             f"mask pixel at row {row}, col {col} has color {color} "

@@ -503,16 +503,24 @@ _SIX_COLOURS = ((0, 0, 0), (255, 0, 255), (0, 128, 255), (255, 255, 0),
                 (9, 9, 9), (200, 100, 50))
 
 
+_EIGHT_COLOURS = _SIX_COLOURS + ((1, 2, 3), (250, 250, 250))
+_NINETEEN_COLOURS = _EIGHT_COLOURS + tuple(
+    (20 * k, 255 - 20 * k, 7 * k) for k in range(1, 12))
+
+
 # Both sides of add_hits' rule: pairwise up to 6 classes, index maps above.
 @pytest.mark.parametrize("palette", [
     DEFAULT_PALETTE,
+    _SIX_COLOURS[:3],
     _SIX_COLOURS,
-    _SIX_COLOURS + ((1, 2, 3), (250, 250, 250)),
+    _EIGHT_COLOURS,
+    _NINETEEN_COLOURS,
 ])
 def test_eval_report_equals_build_report_of_int64_labels(tmp_path, capsys,
                                                         palette):
-    """eval's hit-mask counts print the report that ``build_report`` makes
-    from int64 labels of the same files."""
+    """eval, matching the mask files on their bytes, prints the report that
+    ``build_report`` makes from int64 labels of the same files, and the
+    oracle's average precision."""
     n = len(palette)
     rng = np.random.default_rng(n)
     truths = [rng.integers(0, n, (16, 24)) for _ in range(3)]
@@ -536,7 +544,10 @@ def test_eval_report_equals_build_report_of_int64_labels(tmp_path, capsys,
     text = ":".join(",".join(str(v) for v in c) for c in palette)
     assert cli.main(["eval", str(pred), str(manifest), "--scores-dir",
                      str(pred), "--palette", text]) == 0
-    assert capsys.readouterr().out == json.dumps(want.to_dict(), indent=2) + "\n"
+    out = capsys.readouterr().out
+    assert out == json.dumps(want.to_dict(), indent=2) + "\n"
+    assert json.loads(out)["avg_precision"] == average_precision_argsort(
+        np.concatenate(scores), np.concatenate(labels))
 
 
 def _file_bytes(root):

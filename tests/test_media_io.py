@@ -292,6 +292,92 @@ def test_parse_palette():
 
 
 # ---------------------------------------------------------------------------
+# mask files matched on their uint8 planes, as eval reads them
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 9), (1, 1, 3), (6, 11, 3)])
+def test_unscaled_planes_are_the_rounded_scaled_image(shape, tmp_path):
+    rng = np.random.default_rng(sum(shape) + 1)
+    px = rng.integers(0, 256, shape).astype(np.uint8)
+    px.flat[:2] = (0, 255)
+    path = tmp_path / "x.pnm"
+    write_pnm(path, px)
+    planes = read_image(path, scaled=False)
+    want = np.rint(read_image(path) * np.float32(255.0)).astype(np.uint8)
+    assert planes.dtype == np.uint8 and planes.shape == want.shape
+    assert planes.tobytes() == want.tobytes()
+
+
+def _hits_or_error(image, palette):
+    try:
+        return palette_hits(image, palette)
+    except FileFormatError as exc:
+        return str(exc)
+
+
+_OFF_RANGE = st.sampled_from([(256, 0, 0), (-1, 0, 255), (0, 300, 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_palette_hits_of_planes_match_the_scaled_image(tmp_path_factory, data):
+    """A P6 mask file gives the same hits, or the same error, from its uint8
+    planes as from its [0, 1] image: palettes of 2 to 19 colours, repeated
+    colours, entries outside 0..255 and off-palette pixels included."""
+    colours = st.tuples(_BYTE, _BYTE, _BYTE)
+    palette = data.draw(st.lists(colours, min_size=2, max_size=19))
+    if data.draw(st.booleans()):
+        palette.insert(data.draw(st.integers(0, len(palette))),
+                       palette[data.draw(st.integers(0, len(palette) - 1))])
+    if data.draw(st.booleans()):
+        palette[data.draw(st.integers(0, len(palette) - 1))] = \
+            data.draw(_OFF_RANGE)
+    h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    in_range = [c for c in palette if max(c) <= 255 and min(c) >= 0]
+    pixel = st.one_of(st.sampled_from(in_range), colours) if in_range else colours
+    pixels = data.draw(st.lists(pixel, min_size=h * w, max_size=h * w))
+    path = tmp_path_factory.mktemp("mask") / "m.ppm"
+    write_pnm(path, np.array(pixels, dtype=np.uint8).reshape(h, w, 3))
+    palette = tuple(palette)
+    got = _hits_or_error(read_image(path, scaled=False), palette)
+    want = _hits_or_error(read_image(path), palette)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_p5_mask_planes_are_refused_as_not_rgb(tmp_path):
+    path = tmp_path / "gray.pgm"
+    write_pnm(path, np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ShapeError) as want:
+        palette_hits(read_image(path), DEFAULT_PALETTE)
+    with pytest.raises(ShapeError) as got:
+        palette_hits(read_image(path, scaled=False), DEFAULT_PALETTE)
+    assert str(got.value) == str(want.value) == (
+        "mask image must be RGB (3 channels), got 1")
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 0, 2), (3, 2, 2, 1)])
+def test_planes_of_the_wrong_shape_are_refused(shape):
+    with pytest.raises(ShapeError, match="uint8 planes"):
+        palette_hits(np.zeros(shape, dtype=np.uint8), DEFAULT_PALETTE)
+
+
+def test_palette_entry_outside_bytes_matches_no_pixel(tmp_path):
+    path = tmp_path / "m.ppm"
+    write_mask(np.array([[0, 1, 1]]), DEFAULT_PALETTE, path)
+    palette = DEFAULT_PALETTE + ((256, 0, 255), (-1, 0, 0), (255, 0, 1000),
+                                 (2**70, 0, 0))
+    for image in (read_image(path, scaled=False), read_image(path)):
+        hits = palette_hits(image, palette)
+        assert [h.tolist() for h in hits] == [[[True, False, False]],
+                                              [[False, True, True]]] + \
+            [[[False] * 3]] * 4
+
+
+# ---------------------------------------------------------------------------
 # weight store
 
 
