@@ -5,12 +5,11 @@ purpose so golden files stay stable across platforms.
 PNM payloads are parsed from a read-only view of the file's bytes;
 ``read_pnm`` returns a copy the caller owns, and ``read_image`` scales the
 pixels into its float32 tensor from that view. A ground-truth mask is
-matched against the palette by ``palette_hits``, one boolean mask per
-colour, which is what ``eval`` counts; ``decode_gt_mask`` builds int64
-labels from those masks, with the same checks and errors. ``eval`` matches
-a mask file on its bytes: ``read_image(path, scaled=False)`` returns the
-de-interleaved uint8 planes, which ``palette_hits`` compares with the
-palette as they are, so no float32 image is built for a mask.
+matched on its bytes: ``read_image(path, scaled=False)`` returns its
+de-interleaved uint8 planes, and ``palette_hits`` compares them with the
+palette into one (K, H, W) boolean block, one mask per colour, which is
+what ``eval`` counts. ``decode_gt_mask`` builds int64 labels from that
+block, with the same checks and errors. No float image is built for a mask.
 
 Weight store format (magic ``CWFCN1``), all integers little-endian:
 
@@ -182,27 +181,22 @@ def write_image(path, image: Tensor) -> None:
 # Color-coded ground truth masks
 
 
-def palette_hits(image: Tensor,
+def palette_hits(image: np.ndarray,
                  palette: Sequence[Color] = DEFAULT_PALETTE) -> np.ndarray:
-    """One boolean (H, W) mask per palette colour, as a (K, H, W) array: the
-    pixels of an RGB mask image that have that colour.
+    """One boolean (H, W) mask per palette colour, as a (K, H, W) block: the
+    pixels of an RGB mask that have that colour.
 
-    The image is either the uint8 planes from ``read_image(path,
-    scaled=False)``, compared with the palette as they are, or a [0, 1]
-    float tensor such as ``read_image`` returns, whose channels are scaled
-    back to 0..255 and rounded first; a mask file gives the same hits and
-    errors either way. A colour listed twice marks its pixels in its last
-    entry only, so no pixel is in two masks, and an entry outside 0..255
-    matches no pixel. Any pixel whose colour is not in the palette is an
-    error naming the colour and location.
+    The image is the uint8 (3, H, W) planes that ``read_image(path,
+    scaled=False)`` returns, compared with the palette as they are; any
+    other dtype or shape is a ShapeError. A colour listed twice marks its
+    pixels in its last entry only, so no pixel is in two masks, and an
+    entry outside 0..255 matches no pixel. Any pixel whose colour is not in
+    the palette is an error naming the colour and location.
     """
     img = np.asarray(image)
-    raw = img.dtype == np.uint8
-    if not raw:
-        img = as_chw(img)
-    elif img.ndim != 3 or min(img.shape) < 1:
+    if img.dtype != np.uint8 or img.ndim != 3 or min(img.shape) < 1:
         raise ShapeError(f"expected (channels, height, width) uint8 planes, "
-                         f"got shape {img.shape}")
+                         f"got {img.dtype} of shape {img.shape}")
     if img.shape[0] != 3:
         raise ShapeError(f"mask image must be RGB (3 channels), got {img.shape[0]}")
     shape = img.shape[1:]
@@ -213,16 +207,8 @@ def palette_hits(image: Tensor,
     # One block for every mask: a block freed whole is reused by the next
     # call, where as many separate masks come back as fresh pages.
     hits = np.zeros((len(palette),) + shape, dtype=bool)
-    # A float image's channels are scaled and rounded in turn into one
-    # buffer; rounded float32 values compare exactly with the palette.
-    channel = None if raw else np.empty(shape, dtype=np.float32)
     equal = np.empty(shape, dtype=bool)
-    for c in range(3):
-        if raw:
-            channel = img[c]
-        else:
-            np.multiply(img[c], np.float32(255.0), out=channel)
-            np.rint(channel, out=channel)
+    for c, channel in enumerate(img):
         for i in live:
             if c == 0:
                 np.equal(channel, palette[i][0], out=hits[i])
@@ -231,11 +217,7 @@ def palette_hits(image: Tensor,
     known = np.logical_or.reduce(hits, axis=0)
     if not known.all():
         row, col = divmod(int(np.argmin(known)), shape[1])
-        rgb = img[:, row, col]
-        if not raw:
-            rgb = np.rint(rgb * np.float32(255.0))
-        # A NaN or infinite channel has no integer value; name it as is.
-        color = tuple(int(v) if math.isfinite(v) else float(v) for v in rgb)
+        color = tuple(int(v) for v in img[:, row, col])
         raise FileFormatError(
             f"mask pixel at row {row}, col {col} has color {color} "
             f"which is not in the palette"
@@ -243,10 +225,11 @@ def palette_hits(image: Tensor,
     return hits
 
 
-def decode_gt_mask(image: Tensor, palette: Sequence[Color] = DEFAULT_PALETTE) -> np.ndarray:
-    """Map an RGB mask image to int64 class labels via the palette, with the
-    checks and errors of :func:`palette_hits`; a colour listed twice takes
-    its last index."""
+def decode_gt_mask(image: np.ndarray,
+                   palette: Sequence[Color] = DEFAULT_PALETTE) -> np.ndarray:
+    """Map the uint8 planes of an RGB mask to int64 class labels via the
+    palette, with the checks and errors of :func:`palette_hits`; a colour
+    listed twice takes its last index."""
     return index_map(palette_hits(image, palette)).astype(np.int64)
 
 

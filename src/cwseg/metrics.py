@@ -2,9 +2,10 @@
 whole-image metrics (acc, cl_acc, miu, fwiu), binary positive-class stats,
 and 11-point interpolated average precision.
 
-A confusion matrix accumulates either label maps (``add``) or one
-boolean mask per class (``add_hits``), which is how ``eval`` counts
-palette masks without building a label map.
+A confusion matrix accumulates either label maps (``add``) or two
+(K, H, W) boolean blocks of one mask per class (``add_hits``), which is
+how ``eval`` counts the blocks that ``palette_hits`` makes; up to 6
+classes no label map is built.
 
 All values are fractions in [0, 1]; rendering as percentages is the
 caller's business. Classes absent from both truth and prediction are
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,20 +35,19 @@ from .errors import NumericError, ShapeError
 _PAIRWISE_CLASSES = 6
 
 
-def index_map(masks: Sequence[np.ndarray]) -> np.ndarray:
-    """The map holding ``i`` at the pixels of ``masks[i]``, in the narrowest
+def index_map(hits: np.ndarray) -> np.ndarray:
+    """The map holding ``i`` at the pixels of ``hits[i]``, in the narrowest
     unsigned dtype that holds it.
 
-    The masks are boolean arrays of one shape, and every pixel is in
-    exactly one of them.
+    ``hits`` is a (K, H, W) boolean block, as ``media_io.palette_hits``
+    returns it, and every pixel is in exactly one of its K masks.
     """
-    dtype = np.min_scalar_type(len(masks) - 1)
-    out = np.zeros(np.shape(masks[0]), dtype=dtype)
+    dtype = np.min_scalar_type(len(hits) - 1)
+    out = np.zeros(hits.shape[1:], dtype=dtype)
     term = np.empty_like(out)
-    for i, mask in enumerate(masks[1:], 1):
+    for i, mask in enumerate(hits[1:], 1):
         # A boolean mask read as 0/1 bytes needs no cast loop.
-        np.multiply(np.asarray(mask, dtype=bool).view(np.uint8),
-                    dtype.type(i), out=term)
+        np.multiply(mask.view(np.uint8), dtype.type(i), out=term)
         out += term
     return out
 
@@ -105,38 +105,33 @@ class ConfusionMatrix:
         self.counts += np.bincount(bins, minlength=n * n).reshape(n, n)
         return self
 
-    def add_hits(self, truth_hits: Sequence[np.ndarray],
-                 pred_hits: Sequence[np.ndarray]) -> "ConfusionMatrix":
-        """Accumulate one mask pair given as one boolean mask per class, as
-        ``media_io.palette_hits`` returns them, in place.
+    def add_hits(self, truth_hits: np.ndarray,
+                 pred_hits: np.ndarray) -> "ConfusionMatrix":
+        """Accumulate one mask pair given as two (K, H, W) boolean blocks,
+        one mask per class, as ``media_io.palette_hits`` returns them, in
+        place.
 
-        Every pixel must be in exactly one mask of each side, as
+        Every pixel must be in exactly one mask of each block, as
         ``palette_hits`` guarantees. Up to ``_PAIRWISE_CLASSES`` classes,
         each count is one ``count_nonzero(t_i & p_j)``; above that, ``add``
         of the two ``index_map``s beats the n² passes.
         """
         n = self.num_classes
-        if len(truth_hits) != n or len(pred_hits) != n:
+        t, p = np.asarray(truth_hits), np.asarray(pred_hits)
+        if (t.ndim != 3 or t.shape != p.shape or len(t) != n
+                or t.dtype != bool or p.dtype != bool):
             raise ShapeError(
-                f"need {n} masks per side, got {len(truth_hits)} truth and "
-                f"{len(pred_hits)} pred masks"
+                f"need two boolean ({n}, H, W) hit blocks of one shape, got "
+                f"truth {t.dtype} {t.shape} and pred {p.dtype} {p.shape}"
             )
-        t_shapes = {np.shape(m) for m in truth_hits}
-        p_shapes = {np.shape(m) for m in pred_hits}
-        if len(t_shapes | p_shapes) != 1:
-            raise ShapeError(
-                f"hit masks differ in shape: truth {sorted(t_shapes)}, "
-                f"pred {sorted(p_shapes)}"
-            )
-        shape = t_shapes.pop()
         if n <= _PAIRWISE_CLASSES:
-            both = np.empty(shape, dtype=bool)
-            for i, t in enumerate(truth_hits):
-                for j, p in enumerate(pred_hits):
+            both = np.empty(t.shape[1:], dtype=bool)
+            for i, t_i in enumerate(t):
+                for j, p_j in enumerate(p):
                     self.counts[i, j] += np.count_nonzero(
-                        np.logical_and(t, p, out=both))
+                        np.logical_and(t_i, p_j, out=both))
             return self
-        return self.add(index_map(truth_hits), index_map(pred_hits))
+        return self.add(index_map(t), index_map(p))
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if other.num_classes != self.num_classes:

@@ -210,7 +210,7 @@ def test_criterion_6(tmp_path):
         mask = rng.integers(0, num_colors, size=(h, w))
         path = tmp_path / f"mask{i}.ppm"
         write_mask(mask, palette, path)
-        back = decode_gt_mask(read_image(path), palette)
+        back = decode_gt_mask(read_image(path, scaled=False), palette)
         assert back.tobytes() == mask.astype(np.int64).tobytes()
 
     for i in range(15):

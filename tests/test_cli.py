@@ -225,8 +225,9 @@ def test_eval_thread_count_does_not_change_result(tmp_path, capsys,
     out = tmp_path / "out"
     assert cli.main(["segment", str(manifest), "--weights", str(weights_file),
                      "--out", str(out), "--save-scores"]) == 0
-    masks = [decode_gt_mask(read_image(out / f"frame{i:03d}.ppm"),
-                            DEFAULT_PALETTE) for i in range(4)]
+    masks = [decode_gt_mask(read_image(out / f"frame{i:03d}.ppm",
+                                       scaled=False), DEFAULT_PALETTE)
+             for i in range(4)]
     # perturb one mask so the metrics are not all trivially 1.0
     masks[1] = 1 - masks[1]
     manifest2 = write_frames(tmp_path, frames, gt_masks=masks)

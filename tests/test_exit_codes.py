@@ -6,7 +6,10 @@ escapes. A ``segment`` that fails leaves no ``trace.jsonl``.
 Every example corrupts one file of a 3-frame 32x32 fixture (a frame, a
 truth mask, a prediction, a score store, the manifest or the weight store)
 by truncating it, flipping a header byte or inserting bytes, then runs
-``segment``, ``eval --scores-dir`` and ``bench`` in process. NaN bits
+``segment`` (under the default schedule, then under fixed(2, 4) with
+reuse-final), ``eval --scores-dir`` and ``bench`` in process. A
+``segment`` that fails on a bad frame k >= 1 leaves the masks of the
+frames before k only. NaN bits
 written into the score store's positive-class channel make ``eval`` exit 4.
 """
 import contextlib
@@ -40,6 +43,11 @@ TARGETS = (
     + ["gt1.ppm", "pred/frame1.ppm", "pred/frame2.scores.cwf",
        "manifest.txt", "weights.cwf"]
 )
+
+# A schedule that skips: under fixed(2, 4) with reuse-final, stage 3 fires
+# at frame 0 only, so a bad frame 1 or 2 lies where stage 3 does not fire.
+SKIPPING = ["--schedule", "fixed", "--period2", "2", "--period3", "4",
+            "--skip-policy", "reuse-final"]
 
 # Header bytes a flip may hit: a PNM header is 13 bytes here, and a weight
 # store's first entry header ends by byte 41.
@@ -141,13 +149,22 @@ def test_corrupt_inputs_exit_3_or_4(fixture_dir, case):
         path = work / target
         path.write_bytes(_corrupt(path.read_bytes(), how, position, payload))
         manifest, weights = str(work / "manifest.txt"), str(work / "weights.cwf")
-        out = work / "out"
 
-        code = _call(["segment", manifest, "--weights", weights,
-                      "--out", str(out), "--save-scores"])
-        assert code in (0, 3, 4)
-        if code != 0:
+        for out, flags in ((work / "out", ["--save-scores"]),
+                           (work / "skip", SKIPPING)):
+            code = _call(["segment", manifest, "--weights", weights,
+                          "--out", str(out), *flags])
+            assert code in (0, 3, 4)
+            if code == 0:
+                continue
             assert not (out / "trace.jsonl").exists()
+            # A bad frame k >= 1 fails at its own turn, after the masks of
+            # frames 0..k-1 only. Frame 0 sets the size, so a frame 0 of
+            # another size fails at frame 1.
+            if target.startswith("frame") and target != "frame0.ppm":
+                bad = int(target[len("frame")])
+                written = sorted(p.name for p in out.glob("*.ppm"))
+                assert written == [f"frame{i}.ppm" for i in range(bad)]
         pred = str(work / "pred")
         code = _call(["eval", pred, manifest, "--scores-dir", pred])
         assert code == 4 if how == "nan" else code in (0, 3, 4)

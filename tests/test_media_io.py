@@ -143,24 +143,25 @@ def test_write_pnm_validation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ground-truth masks
+# ground-truth masks, matched on their uint8 planes
 
 
-def rgb_tensor(colors):
-    """(H, W, 3) uint8 nested list -> [0,1] float tensor (3, H, W)."""
-    arr = np.asarray(colors, dtype=np.float32) / 255.0
-    return np.transpose(arr, (2, 0, 1))
+def rgb_planes(colors):
+    """(H, W, 3) nested list of byte colours -> uint8 planes (3, H, W), as
+    ``read_image(path, scaled=False)`` returns them."""
+    arr = np.asarray(colors, dtype=np.uint8)
+    return np.ascontiguousarray(np.transpose(arr, (2, 0, 1)))
 
 
 def test_all_magenta_is_all_road():
-    img = rgb_tensor([[(255, 0, 255)] * 3] * 2)
+    img = rgb_planes([[(255, 0, 255)] * 3] * 2)
     np.testing.assert_array_equal(
         decode_gt_mask(img, DEFAULT_PALETTE), np.ones((2, 3), dtype=np.int64)
     )
 
 
 def test_checkerboard_alternates():
-    img = rgb_tensor([
+    img = rgb_planes([
         [(255, 0, 255), (0, 0, 0)],
         [(0, 0, 0), (255, 0, 255)],
     ])
@@ -170,70 +171,93 @@ def test_checkerboard_alternates():
 
 
 def test_unknown_color_names_pixel():
-    img = rgb_tensor([[(255, 0, 255), (12, 34, 56)]])
+    img = rgb_planes([[(255, 0, 255), (12, 34, 56)]])
     with pytest.raises(FileFormatError, match=r"row 0, col 1.*\(12, 34, 56\)"):
         decode_gt_mask(img, DEFAULT_PALETTE)
 
 
 _BYTE = st.integers(0, 255)
+_COLOURS = st.tuples(_BYTE, _BYTE, _BYTE)
+_OFF_RANGE = st.sampled_from([(256, 0, 0), (-1, 0, 255), (0, 300, 0)])
 
 
-@st.composite
-def _mask_images(draw):
-    """A palette of 1 to 8 colours and a (3, H, W) image whose pixels are
-    palette colours, other byte colours as ``read_image`` scales them, or
-    any float32 in [-2, 2] (its colour stays within the int64 range)."""
-    palette = draw(st.lists(st.tuples(_BYTE, _BYTE, _BYTE), min_size=1,
-                            max_size=8, unique=True))
-    channel = st.one_of(_BYTE.map(lambda v: np.float32(v) / np.float32(255)),
-                        st.floats(-2, 2, width=32))
-    pixel = st.one_of(
-        st.sampled_from(palette).map(
-            lambda c: tuple(np.float32(v) / np.float32(255) for v in c)),
-        st.tuples(channel, channel, channel))
-    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    pixels = draw(st.lists(pixel, min_size=h * w, max_size=h * w))
-    image = np.array(pixels, dtype=np.float32).reshape(h, w, 3).transpose(2, 0, 1)
-    return np.ascontiguousarray(image), tuple(palette)
+def _mask_file(data, tmp_path_factory):
+    """A P6 mask file and a palette of 1 to 19 colours, which may repeat a
+    colour and hold an entry outside 0..255. Each pixel is a palette colour
+    or any byte colour."""
+    palette = data.draw(st.lists(_COLOURS, min_size=1, max_size=19))
+    if data.draw(st.booleans()):
+        palette.insert(data.draw(st.integers(0, len(palette))),
+                       palette[data.draw(st.integers(0, len(palette) - 1))])
+    if data.draw(st.booleans()):
+        palette[data.draw(st.integers(0, len(palette) - 1))] = \
+            data.draw(_OFF_RANGE)
+    h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    in_range = [c for c in palette if max(c) <= 255 and min(c) >= 0]
+    pixel = st.one_of(st.sampled_from(in_range), _COLOURS) if in_range else _COLOURS
+    pixels = data.draw(st.lists(pixel, min_size=h * w, max_size=h * w))
+    path = tmp_path_factory.mktemp("mask") / "m.ppm"
+    write_pnm(path, np.array(pixels, dtype=np.uint8).reshape(h, w, 3))
+    return path, tuple(palette)
 
 
-@settings(max_examples=300)
-@given(case=_mask_images())
-def test_decode_gt_mask_matches_int64_decode(case):
-    image, palette = case
+def _or_error(fn, image, palette):
     try:
-        want = decode_gt_mask_int64(image, palette)
+        return fn(image, palette)
     except FileFormatError as exc:
-        with pytest.raises(FileFormatError) as got:
-            decode_gt_mask(image, palette)
-        assert str(got.value) == str(exc)
+        return str(exc)
+
+
+def _hits_of(labels, count):
+    """The (count, H, W) block of ``labels == i``, or an error text as is."""
+    if isinstance(labels, str):
+        return labels
+    return np.stack([labels == i for i in range(count)])
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
     else:
-        got = decode_gt_mask(image, palette)
-        assert got.dtype == np.int64
+        assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=300)
-@given(case=_mask_images())
-def test_palette_hits_errors_and_labels_match_decode_gt_mask(case):
-    image, palette = case
-    try:
-        want = decode_gt_mask(image, palette)
-    except FileFormatError as exc:
-        with pytest.raises(FileFormatError) as got:
-            palette_hits(image, palette)
-        assert str(got.value) == str(exc)
-    else:
-        hits = palette_hits(image, palette)
-        assert hits.dtype == bool
-        assert hits.shape == (len(palette),) + want.shape
-        for index, hit in enumerate(hits):
-            assert hit.tobytes() == (want == index).tobytes()
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decode_gt_mask_matches_int64_decode(tmp_path_factory, data):
+    """The labels of a P6 file's planes, or the error, are those of the
+    int64 decode of its [0, 1] image."""
+    path, palette = _mask_file(data, tmp_path_factory)
+    got = _or_error(decode_gt_mask, read_image(path, scaled=False), palette)
+    _assert_same(got, _or_error(decode_gt_mask_int64, read_image(path), palette))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_palette_hits_errors_and_labels_match_decode_gt_mask(tmp_path_factory,
+                                                             data):
+    path, palette = _mask_file(data, tmp_path_factory)
+    planes = read_image(path, scaled=False)
+    got = _or_error(palette_hits, planes, palette)
+    want = _hits_of(_or_error(decode_gt_mask, planes, palette), len(palette))
+    _assert_same(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_palette_hits_of_planes_match_the_scaled_image(tmp_path_factory, data):
+    """A P6 mask file's planes give the hits, or the error, of the int64
+    decode of its [0, 1] image."""
+    path, palette = _mask_file(data, tmp_path_factory)
+    got = _or_error(palette_hits, read_image(path, scaled=False), palette)
+    want = _or_error(decode_gt_mask_int64, read_image(path), palette)
+    _assert_same(got, _hits_of(want, len(palette)))
 
 
 @pytest.mark.parametrize("channels", [1, 2, 4])
 def test_palette_hits_non_rgb_error_matches_decode_gt_mask(channels):
-    image = np.zeros((channels, 2, 3), dtype=np.float32)
+    image = np.zeros((channels, 2, 3), dtype=np.uint8)
     with pytest.raises(ShapeError) as want:
         decode_gt_mask(image, DEFAULT_PALETTE)
     with pytest.raises(ShapeError) as got:
@@ -243,7 +267,7 @@ def test_palette_hits_non_rgb_error_matches_decode_gt_mask(channels):
 
 
 def test_repeated_palette_colour_takes_its_last_index():
-    img = rgb_tensor([[(255, 0, 255), (0, 0, 0), (255, 0, 255)]])
+    img = rgb_planes([[(255, 0, 255), (0, 0, 0), (255, 0, 255)]])
     palette = ((255, 0, 255), (0, 0, 0), (255, 0, 255))
     hits = palette_hits(img, palette)
     assert [h.tolist() for h in hits] == [[[False] * 3],
@@ -251,16 +275,19 @@ def test_repeated_palette_colour_takes_its_last_index():
                                           [[True, False, True]]]
     assert decode_gt_mask(img, palette).tolist() == [[2, 1, 2]]
     assert decode_gt_mask(img, palette).tolist() == \
-        decode_gt_mask_int64(img, palette).tolist()
+        decode_gt_mask_int64(img / np.float32(255.0), palette).tolist()
 
 
-@given(case=_mask_images(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
-       where=st.integers(0, 10**6))
-def test_decode_gt_mask_non_finite_pixel_is_format_error(case, bad, where):
-    image, palette = case
-    image.flat[where % image.size] = bad
-    with pytest.raises(FileFormatError, match="not in the palette"):
-        decode_gt_mask(image, palette)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_images_other_than_uint8_planes_are_refused(dtype):
+    """A [0, 1] float image, or integer planes wider than bytes, is not a
+    mask's planes: it is refused before any pixel is read."""
+    image = rgb_planes([[(255, 0, 255), (0, 0, 0)]]).astype(dtype)
+    for fn in (palette_hits, decode_gt_mask):
+        with pytest.raises(ShapeError, match="uint8 planes"):
+            fn(image, DEFAULT_PALETTE)
+        with pytest.raises(ShapeError, match="uint8 planes"):
+            fn(image / 255.0, DEFAULT_PALETTE)
 
 
 def test_mask_round_trip(tmp_path):
@@ -269,7 +296,8 @@ def test_mask_round_trip(tmp_path):
     mask = rng.integers(0, 3, (11, 5))
     path = tmp_path / "m.ppm"
     write_mask(mask, palette, path)
-    np.testing.assert_array_equal(decode_gt_mask(read_image(path), palette), mask)
+    np.testing.assert_array_equal(
+        decode_gt_mask(read_image(path, scaled=False), palette), mask)
 
 
 def test_write_mask_validation(tmp_path):
@@ -291,10 +319,6 @@ def test_parse_palette():
         parse_palette("1,2,3:1,2,3")
 
 
-# ---------------------------------------------------------------------------
-# mask files matched on their uint8 planes, as eval reads them
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (5, 9), (1, 1, 3), (6, 11, 3)])
 def test_unscaled_planes_are_the_rounded_scaled_image(shape, tmp_path):
     rng = np.random.default_rng(sum(shape) + 1)
@@ -308,53 +332,14 @@ def test_unscaled_planes_are_the_rounded_scaled_image(shape, tmp_path):
     assert planes.tobytes() == want.tobytes()
 
 
-def _hits_or_error(image, palette):
-    try:
-        return palette_hits(image, palette)
-    except FileFormatError as exc:
-        return str(exc)
-
-
-_OFF_RANGE = st.sampled_from([(256, 0, 0), (-1, 0, 255), (0, 300, 0)])
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_palette_hits_of_planes_match_the_scaled_image(tmp_path_factory, data):
-    """A P6 mask file gives the same hits, or the same error, from its uint8
-    planes as from its [0, 1] image: palettes of 2 to 19 colours, repeated
-    colours, entries outside 0..255 and off-palette pixels included."""
-    colours = st.tuples(_BYTE, _BYTE, _BYTE)
-    palette = data.draw(st.lists(colours, min_size=2, max_size=19))
-    if data.draw(st.booleans()):
-        palette.insert(data.draw(st.integers(0, len(palette))),
-                       palette[data.draw(st.integers(0, len(palette) - 1))])
-    if data.draw(st.booleans()):
-        palette[data.draw(st.integers(0, len(palette) - 1))] = \
-            data.draw(_OFF_RANGE)
-    h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    in_range = [c for c in palette if max(c) <= 255 and min(c) >= 0]
-    pixel = st.one_of(st.sampled_from(in_range), colours) if in_range else colours
-    pixels = data.draw(st.lists(pixel, min_size=h * w, max_size=h * w))
-    path = tmp_path_factory.mktemp("mask") / "m.ppm"
-    write_pnm(path, np.array(pixels, dtype=np.uint8).reshape(h, w, 3))
-    palette = tuple(palette)
-    got = _hits_or_error(read_image(path, scaled=False), palette)
-    want = _hits_or_error(read_image(path), palette)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 def test_p5_mask_planes_are_refused_as_not_rgb(tmp_path):
     path = tmp_path / "gray.pgm"
     write_pnm(path, np.zeros((2, 3), dtype=np.uint8))
+    planes = read_image(path, scaled=False)
     with pytest.raises(ShapeError) as want:
-        palette_hits(read_image(path), DEFAULT_PALETTE)
+        decode_gt_mask(planes, DEFAULT_PALETTE)
     with pytest.raises(ShapeError) as got:
-        palette_hits(read_image(path, scaled=False), DEFAULT_PALETTE)
+        palette_hits(planes, DEFAULT_PALETTE)
     assert str(got.value) == str(want.value) == (
         "mask image must be RGB (3 channels), got 1")
 
@@ -370,11 +355,10 @@ def test_palette_entry_outside_bytes_matches_no_pixel(tmp_path):
     write_mask(np.array([[0, 1, 1]]), DEFAULT_PALETTE, path)
     palette = DEFAULT_PALETTE + ((256, 0, 255), (-1, 0, 0), (255, 0, 1000),
                                  (2**70, 0, 0))
-    for image in (read_image(path, scaled=False), read_image(path)):
-        hits = palette_hits(image, palette)
-        assert [h.tolist() for h in hits] == [[[True, False, False]],
-                                              [[False, True, True]]] + \
-            [[[False] * 3]] * 4
+    hits = palette_hits(read_image(path, scaled=False), palette)
+    assert [h.tolist() for h in hits] == [[[True, False, False]],
+                                          [[False, True, True]]] + \
+        [[[False] * 3]] * 4
 
 
 # ---------------------------------------------------------------------------

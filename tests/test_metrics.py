@@ -216,28 +216,29 @@ _CLASSES = st.integers(2, 8)
 @settings(max_examples=300)
 @given(data=st.data())
 def test_add_hits_equals_add_of_labels(data):
-    """One hit mask per class, each pixel in exactly one, counts as
-    ``add`` of the labels the masks came from."""
+    """A (K, H, W) block of one hit mask per class, each pixel in exactly
+    one, counts as ``add`` of the labels the masks came from."""
     n = data.draw(_CLASSES)
     h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     labels = st.lists(st.integers(0, n - 1), min_size=h * w, max_size=h * w)
     truth = np.array(data.draw(labels)).reshape(h, w)
     pred = np.array(data.draw(labels)).reshape(h, w)
     want = ConfusionMatrix(n).add(truth, pred).counts
-    got = ConfusionMatrix(n).add_hits([truth == i for i in range(n)],
-                                      [pred == j for j in range(n)]).counts
+    got = ConfusionMatrix(n).add_hits(np.stack([truth == i for i in range(n)]),
+                                      np.stack([pred == j for j in range(n)])).counts
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 @st.composite
 def _palette_mask_pair(draw):
-    """A palette of 2 to 8 colours and two (3, H, W) images of its colours,
-    scaled as ``read_image`` scales them."""
+    """A palette of 2 to 8 colours and the uint8 (3, H, W) planes of two
+    images of its colours, as ``read_image(path, scaled=False)`` returns
+    them."""
     byte = st.integers(0, 255)
     palette = draw(st.lists(st.tuples(byte, byte, byte), min_size=2,
                             max_size=8, unique=True))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    lut = np.array(palette, dtype=np.float32) / np.float32(255.0)
+    lut = np.array(palette, dtype=np.uint8)
     images = []
     for _ in range(2):
         labels = draw(st.lists(st.integers(0, len(palette) - 1),
@@ -252,21 +253,30 @@ def _palette_mask_pair(draw):
 def test_add_hits_of_palette_hits_equals_add_of_int64_decode(case):
     palette, (a, b) = case
     n = len(palette)
-    want = ConfusionMatrix(n).add(decode_gt_mask_int64(a, palette),
-                                  decode_gt_mask_int64(b, palette)).counts
+    # The oracle decodes the [0, 1] images that ``read_image`` scales.
+    want = ConfusionMatrix(n).add(
+        decode_gt_mask_int64(a / np.float32(255.0), palette),
+        decode_gt_mask_int64(b / np.float32(255.0), palette)).counts
     got = ConfusionMatrix(n).add_hits(palette_hits(a, palette),
                                       palette_hits(b, palette)).counts
     assert got.tolist() == want.tolist()
 
 
 def test_add_hits_validation():
-    masks = [np.zeros((2, 2), bool), np.ones((2, 2), bool)]
-    with pytest.raises(ShapeError, match="need 2 masks per side"):
-        ConfusionMatrix(2).add_hits(masks, masks[:1])
-    with pytest.raises(ShapeError, match="differ in shape"):
-        ConfusionMatrix(2).add_hits(masks, [np.zeros((2, 3), bool)] * 2)
-    with pytest.raises(ShapeError, match="differ in shape"):
-        ConfusionMatrix(2).add_hits([masks[0], np.ones(4, bool)], masks)
+    block = np.stack([np.zeros((2, 2), bool), np.ones((2, 2), bool)])
+    bad = [
+        (block, block[:1]),                      # a wrong class count
+        (block[:1], block[:1]),
+        (block, np.zeros((2, 2, 3), bool)),      # blocks of different shapes
+        (block, block[:, :1]),
+        (block[0], block[0]),                    # a 2-D block
+        (block, block[:, 0]),
+        (block, block.astype(np.uint8)),         # not boolean
+    ]
+    for truth, pred in bad:
+        with pytest.raises(ShapeError, match=r"need two boolean \(2, H, W\) "
+                                             r"hit blocks of one shape"):
+            ConfusionMatrix(2).add_hits(truth, pred)
 
 
 @settings(max_examples=100)

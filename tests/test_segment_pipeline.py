@@ -239,19 +239,27 @@ def test_segment_reads_at_most_one_frame_ahead(tmp_path, capsys, weights,
         ("write", p.name) for p in paths]
 
 
+# fixed(2, 4) with reuse-final fires stage 3 at frames 0 and 4 only, so its
+# bad frames below lie where stage 3 does not fire.
+SKIPPING = ["--schedule", "fixed", "--period2", "2", "--period3", "4",
+            "--skip-policy", "reuse-final"]
+
+
 # The segment cases keep their original ids.
 @pytest.mark.parametrize(
-    "command,bad", [("segment", 2), ("segment", 5), ("bench", 2), ("bench", 5)],
-    ids=["2", "5", "bench-2", "bench-5"])
-def test_corrupt_frame_exits_3_with_earlier_masks_only(tmp_path, capsys,
-                                                       weights, command, bad):
+    "command,bad,flags",
+    [("segment", 2, []), ("segment", 5, []), ("bench", 2, []), ("bench", 5, []),
+     ("segment", 2, SKIPPING), ("segment", 5, SKIPPING)],
+    ids=["2", "5", "bench-2", "bench-5", "reuse-final-2", "reuse-final-5"])
+def test_corrupt_frame_exits_3_with_earlier_masks_only(tmp_path, capsys, weights,
+                                                       command, bad, flags):
     manifest, paths = write_sequence(tmp_path, random_frames(402, 6))
     paths[bad].write_bytes(b"P6\n32 32\n255\n" + b"\x00" * 10)
     # A complete-looking trace from an earlier run must not survive.
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "trace.jsonl").write_text('{"frame_index": 0}\n')
     threads = threading.active_count()
-    assert cli.main(loop_argv(command, manifest, weights, tmp_path)) == 3
+    assert cli.main(loop_argv(command, manifest, weights, tmp_path) + flags) == 3
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert threading.active_count() == threads
@@ -261,14 +269,16 @@ def test_corrupt_frame_exits_3_with_earlier_masks_only(tmp_path, capsys,
         assert not (tmp_path / "out" / "trace.jsonl").exists()
 
 
-@pytest.mark.parametrize("bad", [1, 3])
-def test_frame_of_another_size_exits_4(tmp_path, capsys, weights, bad):
+@pytest.mark.parametrize("bad,flags", [(1, []), (3, []), (1, SKIPPING),
+                                       (3, SKIPPING)],
+                         ids=["1", "3", "reuse-final-1", "reuse-final-3"])
+def test_frame_of_another_size_exits_4(tmp_path, capsys, weights, bad, flags):
     frames = random_frames(403, 5)
     frames[bad] = make_frame(3, 64, 64)
     manifest, paths = write_sequence(tmp_path, frames)
     threads = threading.active_count()
     assert segment([manifest, "--weights", weights, "--out",
-                    tmp_path / "out"]) == 4
+                    tmp_path / "out", *flags]) == 4
     assert "expected shape" in capsys.readouterr().err
     assert threading.active_count() == threads
     written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
