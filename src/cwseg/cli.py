@@ -434,9 +434,10 @@ def cmd_eval(args) -> int:
     report = replace(build_report(total_cm, positive_class=args.positive_class),
                      avg_precision=avg_precision)
     text = json.dumps(report.to_dict(), indent=2)
-    print(text)
+    # Written first, so a report that cannot be written is not printed.
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
     return 0
 
 

@@ -66,16 +66,21 @@ class ConfusionMatrix:
         if counts is None:
             self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         else:
-            c = np.asarray(counts, dtype=np.int64)
+            c = np.asarray(counts)
             if c.shape != (num_classes, num_classes):
                 raise ShapeError(
                     f"counts shape {c.shape} does not match "
                     f"{num_classes} classes"
                 )
-            if (c < 0).any():
-                raise NumericError(
-                    "confusion matrix counts must be nonnegative")
-            self.counts = c.copy()
+            # As ``add`` refuses labels: a count that is not a whole number
+            # (NaN included) or out of range is an error, never truncated.
+            with np.errstate(invalid="ignore"):
+                whole = c.astype(np.int64)
+            wrong = c[(whole != c) | (whole < 0)]
+            if wrong.size:
+                raise NumericError("confusion matrix counts must be "
+                                   f"nonnegative integers, got {wrong[0]}")
+            self.counts = whole
 
     def add(self, truth: np.ndarray, pred: np.ndarray) -> "ConfusionMatrix":
         """Accumulate one truth/prediction mask pair in place."""

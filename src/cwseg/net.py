@@ -177,16 +177,7 @@ def build_net(cfg: NetConfig, weights: dict[str, np.ndarray]) -> StagedNet:
                 f"layer '{spec.name}': bias shape {b.shape}, expected "
                 f"({spec.out_channels},)"
             )
-        layers[spec.name] = ConvParams(
-            out_channels=spec.out_channels,
-            in_channels=spec.in_channels,
-            kernel_h=spec.kernel,
-            kernel_w=spec.kernel,
-            weights=w,
-            bias=b,
-            stride=1,
-            pad=spec.pad,
-        )
+        layers[spec.name] = ConvParams(w, b, pad=spec.pad)
     return StagedNet(cfg=cfg, layers=layers)
 
 
@@ -228,7 +219,7 @@ def run_stage1(net, frame: Tensor, work: WorkCounter | None = None):
     for pair in (("conv1_1", "conv1_2"), ("conv2_1", "conv2_2"), ("conv3_1", "conv3_2")):
         for name in pair:
             x = _conv_relu(net, StageId.STAGE1, name, x, work)
-        x = maxpool2d(x, 2, 2)
+        x = maxpool2d(x)
     return x, _conv(net, StageId.STAGE1, "score_pool3", x, work)
 
 
@@ -241,7 +232,7 @@ def run_stage2(net, pool3_features: Tensor, work: WorkCounter | None = None):
     )
     for name in ("conv4_1", "conv4_2"):
         x = _conv_relu(net, StageId.STAGE2, name, x, work)
-    x = maxpool2d(x, 2, 2)
+    x = maxpool2d(x)
     return x, _conv(net, StageId.STAGE2, "score_pool4", x, work)
 
 
@@ -254,7 +245,7 @@ def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> 
     )
     x = _conv_relu(net, StageId.STAGE3, "conv5_1", x, work)
     x = _conv_relu(net, StageId.STAGE3, "conv5_2", x, work)
-    x = maxpool2d(x, 2, 2)
+    x = maxpool2d(x)
     return _conv(net, StageId.STAGE3, "score_fr", x, work)
 
 

@@ -10,6 +10,10 @@ Tensors are checked where they enter the package (frames, weight stores,
 ``conv2d`` and ``maxpool2d``); the elementwise kernels check only that
 their shapes agree.
 
+The kernels take only the forms the net calls, those of the VGG trunk of
+FCN-8s: every ``conv2d`` runs at stride 1, and every ``maxpool2d`` is 2x2
+at stride 2.
+
 ``conv2d``'s docstring gives the banding and thread-sharing rules, and
 ``net._conv`` the layers whose calls are served first.
 
@@ -31,7 +35,7 @@ import itertools
 import threading
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,55 +63,54 @@ def as_chw(data) -> Tensor:
 
 @dataclass(frozen=True)
 class ConvParams:
-    """Parameters of one convolution layer.
+    """Parameters of one stride-1 convolution layer.
 
-    ``weights`` is stored as (out_channels, in_channels, kernel_h, kernel_w)
-    and ``bias`` as (out_channels,). Both are rounded to float32 and held as
-    float64 (``float64(float32(value))``), the operands of ``conv2d``'s
+    ``weights`` is (out_channels, in_channels, kernel_h, kernel_w) and
+    ``bias`` has out_channels values; the four dims are read from
+    ``weights`` and kept as attributes. Both are rounded to float32 and held
+    as float64 (``float64(float32(value))``), the operands of ``conv2d``'s
     float64 GEMM, in arrays of their own marked read-only, so a built
     network can be shared across threads and no call casts its weights.
     """
 
-    out_channels: int
-    in_channels: int
-    kernel_h: int
-    kernel_w: int
     weights: np.ndarray
     bias: np.ndarray
-    stride: int = 1
     pad: int = 0
+    out_channels: int = field(init=False)
+    in_channels: int = field(init=False)
+    kernel_h: int = field(init=False)
+    kernel_w: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("out_channels", "in_channels", "kernel_h", "kernel_w", "stride"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"ConvParams.{name} must be positive")
         if self.pad < 0:
             raise ShapeError("ConvParams.pad must be nonnegative")
         w = np.asarray(self.weights, dtype=np.float32)
-        expected = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
-        if w.size != np.prod(expected):
+        if w.ndim != 4 or not w.size:
             raise ShapeError(
-                f"weight data has {w.size} elements, expected "
-                f"{int(np.prod(expected))} for shape {expected}"
+                "ConvParams.weights must be (out_channels, in_channels, "
+                f"kernel_h, kernel_w) with no empty dim, got shape {w.shape}"
+            )
+        b = np.asarray(self.bias, dtype=np.float32).reshape(-1)
+        if b.shape != w.shape[:1]:
+            raise ShapeError(
+                f"bias has {b.size} elements, expected {w.shape[0]}"
             )
         # astype copies, so the held arrays own their data.
-        w = w.reshape(expected).astype(np.float64)
-        b = np.asarray(self.bias, dtype=np.float32).reshape(-1)
-        if b.shape != (self.out_channels,):
-            raise ShapeError(
-                f"bias has {b.size} elements, expected {self.out_channels}"
-            )
-        b = b.astype(np.float64)
+        w, b = w.astype(np.float64), b.astype(np.float64)
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
+        for name, n in zip(("out_channels", "in_channels", "kernel_h",
+                            "kernel_w"), w.shape):
+            object.__setattr__(self, name, n)
 
 
 def conv2d(x: Tensor, p: ConvParams, priority: bool = False) -> Tensor:
-    """Cross-correlate ``x`` with ``p`` (zero padding, no kernel flip).
+    """Cross-correlate ``x`` with ``p`` at stride 1 (zero padding, no kernel
+    flip), as every convolution of the net runs.
 
-    Output spatial dims follow floor((dim + 2*pad - kernel) / stride) + 1.
+    Output spatial dims are dim + 2*pad - kernel + 1.
     Accumulation runs in float64 so results track the straightforward
     summation oracle; the result is cast back to float32.
 
@@ -138,12 +141,12 @@ def conv2d(x: Tensor, p: ConvParams, priority: bool = False) -> Tensor:
         raise ShapeError(
             f"conv2d: expected {p.in_channels} input channels, got {c}"
         )
-    oh = (h + 2 * p.pad - p.kernel_h) // p.stride + 1
-    ow = (w + 2 * p.pad - p.kernel_w) // p.stride + 1
+    oh = h + 2 * p.pad - p.kernel_h + 1
+    ow = w + 2 * p.pad - p.kernel_w + 1
     if oh < 1 or ow < 1:
         raise ShapeError(
-            f"conv2d: kernel {p.kernel_h}x{p.kernel_w} (stride {p.stride}, "
-            f"pad {p.pad}) does not fit input {h}x{w}"
+            f"conv2d: kernel {p.kernel_h}x{p.kernel_w} (pad {p.pad}) does "
+            f"not fit input {h}x{w}"
         )
     call = _ConvCall(x, p, oh, ow, priority)
     if call.posted:
@@ -301,7 +304,7 @@ class _ConvCall:
         the GEMM result, each sized for a full band."""
         p, (c, _, w) = self.p, self.x.shape
         n = self.band_rows * self.ow
-        band_in = np.empty((c, (self.band_rows - 1) * p.stride + p.kernel_h,
+        band_in = np.empty((c, self.band_rows - 1 + p.kernel_h,
                             w + 2 * p.pad), dtype=np.float64)
         # No band writes the pad columns; every band writes every row of its
         # span between them (_conv_band).
@@ -316,14 +319,14 @@ class _ConvCall:
         as a matrix) and the GEMM result (as a matrix and as rows)."""
         band_in, cols_buf, acc_buf = bufs
         p, n = self.p, rows * self.ow
-        band = band_in[:, : (rows - 1) * p.stride + p.kernel_h]
+        band = band_in[:, : rows - 1 + p.kernel_h]
         sc, sh, sw = band.strides
         # The same view as numpy's as_strided, without its round trip
         # through __array_interface__.
         patches = np.ndarray(
             (band.shape[0], p.kernel_h, p.kernel_w, rows, self.ow),
             np.float64, buffer=band_in,
-            strides=(sc, sh, sw, p.stride * sh, p.stride * sw),
+            strides=(sc, sh, sw, sh, sw),
         )
         cols = cols_buf[: self.k * n].reshape(self.k, n)
         acc = acc_buf[: p.out_channels * n].reshape(p.out_channels, n)
@@ -335,11 +338,11 @@ def _conv_band(call: _ConvCall, r0: int, views) -> None:
     """Output rows from ``r0`` of ``call``, in the views of one thread."""
     band, patches, cols_nd, cols, acc, acc_rows = views
     p, h, w = call.p, call.x.shape[1], call.x.shape[2]
-    # Padded rows [lo, lo + span) feed this band: `top` rows of padding,
+    # Padded rows [r0, r0 + span) feed this band: `top` rows of padding,
     # input rows [y0, y1), then padding to the end of the span.
-    lo, span = r0 * p.stride, band.shape[1]
-    top = max(0, p.pad - lo)
-    y0, y1 = max(0, lo - p.pad), min(h, lo + span - p.pad)
+    span = band.shape[1]
+    top = max(0, p.pad - r0)
+    y0, y1 = max(0, r0 - p.pad), min(h, r0 + span - p.pad)
     # Padding rows are written only where the span has them, which no
     # interior band does.
     if top:
@@ -353,11 +356,12 @@ def _conv_band(call: _ConvCall, r0: int, views) -> None:
     call.out[:, r0 : r0 + acc_rows.shape[1]] = acc_rows
 
 
-def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Per-channel sliding max over square windows.
+def maxpool2d(x: Tensor) -> Tensor:
+    """Per-channel 2x2 max pooling at stride 2, as every pool of the net
+    runs; an odd last row or column is dropped.
 
-    Folds the ``window * window`` strided slices of ``x`` (one per offset
-    inside the window), in (dy, dx) order, into a copy of the first with
+    Folds the four strided slices of ``x`` (one per offset inside the
+    window), in (dy, dx) order, into a copy of the first with
     ``np.maximum(out, v)``, which returns its second operand on a tie. So
     the result is the window's maximum value and, where several entries
     equal it (+0.0 and -0.0 compare equal), the bits of the last of them
@@ -365,20 +369,11 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     The output owns its memory.
     """
     x = as_chw(x)
-    if window < 1 or stride < 1:
-        raise ShapeError("maxpool2d: window and stride must be positive")
     _, h, w = x.shape
-    if window > h or window > w:
-        raise ShapeError(
-            f"maxpool2d: window {window} larger than input {h}x{w}"
-        )
-    span_h = (h - window) // stride * stride + 1
-    span_w = (w - window) // stride * stride + 1
-    slices = [
-        x[:, dy : dy + span_h : stride, dx : dx + span_w : stride]
-        for dy in range(window)
-        for dx in range(window)
-    ]
+    if h < 2 or w < 2:
+        raise ShapeError(f"maxpool2d: 2x2 window larger than input {h}x{w}")
+    slices = [x[:, dy : h - 1 + dy : 2, dx : w - 1 + dx : 2]
+              for dy in (0, 1) for dx in (0, 1)]
     out = slices[0].copy()
     for v in slices[1:]:
         np.maximum(out, v, out=out)

@@ -393,6 +393,21 @@ def test_eval_refuses_a_nan_score_with_exit_4_and_no_report(tmp_path):
     assert not report.exists()
 
 
+def test_eval_prints_nothing_when_its_report_cannot_be_written(
+        tmp_path, capsys):
+    """The report file is written before the report is printed: an --out
+    in a missing directory exits 3 with an empty stdout."""
+    masks = [checkerboard(4, 6)] * 2
+    manifest, pred = write_eval_inputs(tmp_path, masks, masks)
+    report = tmp_path / "nodir" / "r.json"
+    assert cli.main(["eval", str(pred), str(manifest), "--out",
+                     str(report)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(report) in err
+    assert not report.parent.exists()
+
+
 def test_eval_without_positive_pixels_exits_4(tmp_path):
     frames = random_frames(8, 2)
     masks = [np.zeros((32, 32), dtype=np.int64)] * 2

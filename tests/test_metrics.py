@@ -159,6 +159,35 @@ def test_add_refuses_nonintegral_labels(n, truth, message):
         cm.add(np.array([0, 1]), np.array(truth))
 
 
+@pytest.mark.parametrize("counts, bad", [
+    ([[0.5, 0], [0, 1.7]], "0.5"),
+    ([[0, 0], [0, np.nan]], "nan"),
+    ([[np.inf, 0], [0, 1]], "inf"),
+    ([[1e30, 0], [0, 1]], "1e+30"),
+    ([[3, -1], [0, 1]], "-1"),
+    (np.array([[0, 2**64 - 1], [0, 1]], dtype=np.uint64),
+     "18446744073709551615"),
+])
+def test_counts_are_refused_as_add_refuses_labels(counts, bad):
+    """A count that is not a nonnegative whole number in int64 is a
+    NumericError, never truncated, wrapped or left to numpy's cast."""
+    with pytest.raises(NumericError) as exc:
+        ConfusionMatrix(2, counts)
+    assert str(exc.value) == ("confusion matrix counts must be nonnegative "
+                              f"integers, got {bad}")
+
+
+@pytest.mark.parametrize("counts", [
+    [[1.0, 2.0], [3.0, 4.0]],
+    np.array([[1, 2], [3, 4]], dtype=np.uint8),
+    [[True, False], [True, True]],
+])
+def test_whole_counts_of_any_dtype_are_kept(counts):
+    cm = ConfusionMatrix(2, counts)
+    assert cm.counts.dtype == np.int64 and cm.counts.flags.owndata
+    assert cm.counts.tolist() == np.asarray(counts).astype(int).tolist()
+
+
 def _outcome(add):
     try:
         return add(), None

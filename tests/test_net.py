@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cwseg.net as net_module
 from cwseg import (
     ContractError,
     NetConfig,
@@ -133,6 +134,25 @@ def test_fusion_rejects_wrong_class_channels():
     ok8 = np.zeros((2, 4, 4), dtype=np.float32)
     with pytest.raises(ShapeError, match="class channels"):
         fuse_and_upsample(net, bad, ok16, ok8)
+
+
+@pytest.mark.parametrize("h,w", [(32, 32), (64, 64), (32, 96), (96, 32),
+                                 (64, 128), (96, 160)])
+def test_fusion_crops_get_maps_already_at_their_target_size(monkeypatch, h, w):
+    """Every size is a multiple of 32, so score_fr upsampled by 2 has
+    score_pool4's size, and that sum upsampled by 2 has score_pool3's: both
+    crops are identity copies."""
+    seen = []
+    crop = net_module.crop_center
+
+    def recorded(x, target_h, target_w):
+        seen.append((x.shape[1:], (target_h, target_w)))
+        return crop(x, target_h, target_w)
+
+    monkeypatch.setattr(net_module, "crop_center", recorded)
+    cfg = NetConfig(base_width=2, height=h, width=w)
+    full_forward(build_net(cfg, gen_weights(cfg, 7)), make_frame(3, h, w))
+    assert seen == [((h // 16, w // 16),) * 2, ((h // 8, w // 8),) * 2]
 
 
 def test_resolution_contract_multiple_sizes():

@@ -60,7 +60,7 @@ def tensors(max_c=3, max_hw=8, lo=-1.0, hi=1.0):
 
 def test_conv_all_ones_kernel_sums():
     x = t(np.ones((1, 3, 3)))
-    p = ConvParams(1, 1, 3, 3, np.ones((1, 1, 3, 3)), [0.0])
+    p = ConvParams(np.ones((1, 1, 3, 3)), [0.0])
     out = conv2d(x, p)
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == np.float32(9.0)
@@ -68,44 +68,56 @@ def test_conv_all_ones_kernel_sums():
 
 def test_conv_diag_kernel_with_bias():
     x = t([[[1, 2], [3, 4]]])
-    p = ConvParams(1, 1, 2, 2, [[[[1, 0], [0, 1]]]], [0.5])
+    p = ConvParams([[[[1, 0], [0, 1]]]], [0.5])
     out = conv2d(x, p)
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == np.float32(5.5)
 
 
 def test_conv_channel_mismatch_names_counts():
-    p = ConvParams(1, 2, 1, 1, np.ones((1, 2, 1, 1)), [0.0])
+    p = ConvParams(np.ones((1, 2, 1, 1)), [0.0])
     with pytest.raises(ShapeError, match="expected 2 input channels, got 3"):
         conv2d(t(np.zeros((3, 4, 4))), p)
 
 
 def test_conv_kernel_does_not_fit():
-    p = ConvParams(1, 1, 5, 5, np.ones((1, 1, 5, 5)), [0.0])
+    p = ConvParams(np.ones((1, 1, 5, 5)), [0.0])
     with pytest.raises(ShapeError, match="does not fit"):
         conv2d(t(np.zeros((1, 3, 3))), p)
 
 
 def test_conv_rejects_nonfinite_result():
     x = np.full((1, 2, 2), np.finfo(np.float32).max, dtype=np.float32)
-    big = ConvParams(1, 1, 2, 2, np.full((1, 1, 2, 2), 4.0), [0.0])
+    big = ConvParams(np.full((1, 1, 2, 2), 4.0), [0.0])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         conv2d(x, big)
 
 
+def test_conv_params_take_their_dims_from_the_weights():
+    p = ConvParams(np.ones((4, 3, 2, 5)), np.zeros(4), pad=1)
+    assert (p.out_channels, p.in_channels, p.kernel_h, p.kernel_w,
+            p.pad) == (4, 3, 2, 5, 1)
+    assert p.weights.shape == (4, 3, 2, 5) and p.bias.shape == (4,)
+
+
 def test_conv_params_validation():
-    with pytest.raises(ShapeError):
-        ConvParams(0, 1, 1, 1, [1.0], [0.0])
-    with pytest.raises(ShapeError):
-        ConvParams(1, 1, 2, 2, [1.0, 2.0], [0.0])  # wrong weight count
-    with pytest.raises(ShapeError):
-        ConvParams(1, 1, 1, 1, [1.0], [0.0, 0.0])  # wrong bias count
-    with pytest.raises(ShapeError):
-        ConvParams(1, 1, 1, 1, [1.0], [0.0], pad=-1)
+    # Flat (one with a 3x3 kernel's count), 3-D and 5-D weights are not
+    # reshaped, and no dim may be empty.
+    for weights in ([1.0], np.ones(9), np.ones((1, 3, 3)),
+                    np.ones((1, 1, 1, 3, 3)), np.ones((0, 1, 1, 1)),
+                    np.ones((1, 1, 3, 0))):
+        with pytest.raises(ShapeError, match="ConvParams.weights must be"):
+            ConvParams(weights, np.zeros(1))
+    with pytest.raises(ShapeError, match="bias has 2 elements, expected 1"):
+        ConvParams(np.ones((1, 1, 1, 1)), [0.0, 0.0])
+    with pytest.raises(ShapeError, match="bias has 0 elements, expected 3"):
+        ConvParams(np.ones((3, 1, 1, 1)), [])
+    with pytest.raises(ShapeError, match="pad must be nonnegative"):
+        ConvParams(np.ones((1, 1, 1, 1)), [0.0], pad=-1)
 
 
 def test_conv_params_arrays_are_frozen():
-    p = ConvParams(1, 1, 1, 1, [1.0], [0.0])
+    p = ConvParams([[[[1.0]]]], [0.0])
     with pytest.raises(ValueError):
         p.weights[0, 0, 0, 0] = 2.0
 
@@ -116,7 +128,7 @@ def test_conv_params_arrays_are_frozen():
                      elements=st.floats(-1e30, 1e30, allow_nan=False)))
 def test_conv_params_hold_float64_rounded_through_float32(values):
     n = values.size
-    p = ConvParams(n, 1, 1, 1, values, values)
+    p = ConvParams(values.reshape(n, 1, 1, 1), values)
     want = values.astype(np.float32).astype(np.float64)
     for held in (p.weights, p.bias):
         assert held.dtype == np.float64
@@ -138,7 +150,7 @@ def test_conv_gemm_operands_are_views_of_the_held_weights(monkeypatch):
 
     monkeypatch.setattr(tensor_ops, "_conv_band", spy)
     rng = np.random.default_rng(3)
-    p = ConvParams(4, 2, 3, 3, rng.standard_normal(72), rng.standard_normal(4),
+    p = ConvParams(rng.standard_normal((4, 2, 3, 3)), rng.standard_normal(4),
                    pad=1)
     conv2d(rng.random((2, 5, 7), dtype=np.float32), p)
     assert seen
@@ -155,19 +167,17 @@ def test_conv_gemm_operands_are_views_of_the_held_weights(monkeypatch):
     out_channels=st.integers(1, 3),
     kh=st.integers(1, 3),
     kw=st.integers(1, 3),
-    stride=st.integers(1, 3),
     pad=st.integers(0, 2),
 )
-def test_conv_shape_law(x, seed, out_channels, kh, kw, stride, pad):
+def test_conv_shape_law(x, seed, out_channels, kh, kw, pad):
     c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
     rng = np.random.default_rng(seed)
     p = ConvParams(
-        out_channels, c, kh, kw,
         rng.uniform(-1, 1, (out_channels, c, kh, kw)).astype(np.float32),
         rng.uniform(-1, 1, out_channels).astype(np.float32),
-        stride=stride, pad=pad,
+        pad=pad,
     )
     if oh < 1 or ow < 1:
         with pytest.raises(ShapeError):
@@ -183,7 +193,7 @@ def test_conv_identity_1x1(x):
     eye = np.zeros((c, c, 1, 1), dtype=np.float32)
     for i in range(c):
         eye[i, i, 0, 0] = 1.0
-    p = ConvParams(c, c, 1, 1, eye, np.zeros(c, dtype=np.float32))
+    p = ConvParams(eye, np.zeros(c, dtype=np.float32))
     out = conv2d(x, p)
     # array_equal, not byte equality: summation turns -0.0 into +0.0
     assert out.shape == x.shape and out.dtype == x.dtype
@@ -194,19 +204,18 @@ def test_conv_identity_1x1(x):
 @given(
     x=tensors(max_c=2, max_hw=6),
     seed=st.integers(0, 2**32 - 1),
-    stride=st.integers(1, 2),
     pad=st.integers(0, 1),
 )
-def test_conv_matches_loop_oracle(x, seed, stride, pad):
+def test_conv_matches_loop_oracle(x, seed, pad):
     c, h, w = x.shape
     rng = np.random.default_rng(seed)
     kh = int(rng.integers(1, min(3, h + 2 * pad) + 1))
     kw = int(rng.integers(1, min(3, w + 2 * pad) + 1))
     weights = rng.uniform(-1, 1, (2, c, kh, kw)).astype(np.float32)
     bias = rng.uniform(-1, 1, 2).astype(np.float32)
-    p = ConvParams(2, c, kh, kw, weights, bias, stride=stride, pad=pad)
+    p = ConvParams(weights, bias, pad=pad)
     got = conv2d(x, p)
-    want = conv2d_oracle(x, weights, bias, stride=stride, pad=pad)
+    want = conv2d_oracle(x, weights, bias, pad=pad)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
@@ -215,7 +224,7 @@ def test_conv_matches_loop_oracle(x, seed, stride, pad):
 def test_conv_is_pure(x, seed):
     rng = np.random.default_rng(seed)
     c = x.shape[0]
-    p = ConvParams(2, c, 1, 1, rng.uniform(-1, 1, (2, c, 1, 1)).astype(np.float32),
+    p = ConvParams(rng.uniform(-1, 1, (2, c, 1, 1)).astype(np.float32),
                    rng.uniform(-1, 1, 2).astype(np.float32))
     before = x.tobytes()
     one = conv2d(x, p)
@@ -227,37 +236,36 @@ def test_conv_is_pure(x, seed):
 def untiled_conv2d(x, p):
     """One float64 GEMM over every output pixel, im2col built by slicing."""
     c, h, w = x.shape
-    s = p.stride
     xp = np.pad(x, ((0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-    oh = (h + 2 * p.pad - p.kernel_h) // s + 1
-    ow = (w + 2 * p.pad - p.kernel_w) // s + 1
+    oh = h + 2 * p.pad - p.kernel_h + 1
+    ow = w + 2 * p.pad - p.kernel_w + 1
     cols = np.empty((c, p.kernel_h, p.kernel_w, oh * ow), dtype=np.float64)
     for ci in range(c):
         for ky in range(p.kernel_h):
             for kx in range(p.kernel_w):
-                cols[ci, ky, kx] = xp[ci, ky : ky + s * (oh - 1) + 1 : s,
-                                      kx : kx + s * (ow - 1) + 1 : s].ravel()
+                cols[ci, ky, kx] = xp[ci, ky : ky + oh, kx : kx + ow].ravel()
     w64 = p.weights.reshape(p.out_channels, -1).astype(np.float64)
     acc = w64 @ cols.reshape(-1, oh * ow)
     acc += p.bias.astype(np.float64)[:, None]
     return acc.astype(np.float32).reshape(p.out_channels, oh, ow)
 
 
-# (channels, height, width, kernel, stride, pad, out_channels) -> rows per
-# band. The test restates conv2d's band rule and checks that each case gets
-# the layout listed here.
+# (channels, height, width, kernel, pad, out_channels) -> rows per band.
+# The test restates conv2d's band rule and checks that each case gets the
+# layout listed here.
 BAND_CASES = {
-    (3, 10, 1200, 3, 1, 1, 4): (4, 4, 2),
-    (4, 23, 1500, 3, 2, 0, 5): (4, 4, 3),
-    (2, 30, 2000, 3, 1, 0, 3): (3,) * 9 + (1,),
+    (3, 10, 1200, 3, 1, 4): (4, 4, 2),
+    # no padding, and a short last band
+    (4, 13, 912, 3, 0, 5): (4, 4, 3),
+    (2, 30, 2000, 3, 0, 3): (3,) * 9 + (1,),
     # one output row is wider than a band: one row per band
-    (3, 9, 9800, 3, 2, 1, 2): (1,) * 5,
+    (3, 5, 4900, 3, 1, 2): (1,) * 5,
     # weights exceed the budget, yet the layer is still banded
-    (64, 6, 40, 7, 1, 3, 48): (1,) * 6,
+    (64, 6, 40, 7, 3, 48): (1,) * 6,
     # conv5_2-like 7x7 pad 3: half the weight bytes set the band size
-    (64, 14, 32, 7, 1, 3, 256): (4, 4, 4, 2),
-    # stride 2 pad 1: the first and the last band both reach into padding
-    (4, 15, 1999, 3, 2, 1, 3): (3, 3, 2),
+    (64, 14, 32, 7, 3, 256): (4, 4, 4, 2),
+    # pad 1: the first and the last band both reach into padding
+    (4, 8, 1000, 3, 1, 3): (3, 3, 2),
 }
 
 
@@ -270,30 +278,29 @@ def band_layout(c, k, oh, ow, oc):
     return tuple(min(rows, oh - r0) for r0 in range(0, oh, rows))
 
 
-def band_case(c, h, w, k, stride, pad, oc):
+def band_case(c, h, w, k, pad, oc):
     """A seeded input and layer for one BAND_CASES shape."""
     rng = np.random.default_rng(c * 1000 + w)
     x = rng.uniform(-1, 1, (c, h, w)).astype(np.float32)
     p = ConvParams(
-        oc, c, k, k,
         rng.uniform(-1, 1, (oc, c, k, k)).astype(np.float32),
         rng.uniform(-1, 1, oc).astype(np.float32),
-        stride=stride, pad=pad,
+        pad=pad,
     )
     return x, p
 
 
-@pytest.mark.parametrize("c,h,w,k,stride,pad,oc", list(BAND_CASES))
-def test_conv_bands_match_untiled_gemm_bytes(c, h, w, k, stride, pad, oc):
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
+@pytest.mark.parametrize("c,h,w,k,pad,oc", list(BAND_CASES))
+def test_conv_bands_match_untiled_gemm_bytes(c, h, w, k, pad, oc):
+    oh = h + 2 * pad - k + 1
+    ow = w + 2 * pad - k + 1
     bands = band_layout(c, k, oh, ow, oc)
-    assert bands == BAND_CASES[c, h, w, k, stride, pad, oc]
+    assert bands == BAND_CASES[c, h, w, k, pad, oc]
     if pad:
         # The first band always reads top padding; the last band reads
         # bottom padding as well as input rows.
-        assert (oh - 1) * stride + k > h + pad
-    x, p = band_case(c, h, w, k, stride, pad, oc)
+        assert oh - 1 + k > h + pad
+    x, p = band_case(c, h, w, k, pad, oc)
     got = conv2d(x, p)
     want = untiled_conv2d(x, p)
     assert got.shape == (oc, oh, ow) and got.dtype == np.float32
@@ -341,10 +348,10 @@ def wrap_bands(monkeypatch, before=None, after=None):
     monkeypatch.setattr(tensor_ops, "_conv_band", wrapped)
 
 
-@pytest.mark.parametrize("c,h,w,k,stride,pad,oc", list(BAND_CASES))
+@pytest.mark.parametrize("c,h,w,k,pad,oc", list(BAND_CASES))
 def test_conv_bands_shared_with_a_helping_thread_match_untiled_bytes(
-        monkeypatch, c, h, w, k, stride, pad, oc):
-    x, p = band_case(c, h, w, k, stride, pad, oc)
+        monkeypatch, c, h, w, k, pad, oc):
+    x, p = band_case(c, h, w, k, pad, oc)
     helped = []
     helper_ran = threading.Event()
     with helping_threads() as (helper,):
@@ -542,7 +549,7 @@ class CountingBoard(threading.Condition):
 
 def test_one_band_call_is_not_posted_and_raises_its_band_error(monkeypatch):
     x = np.random.default_rng(3).uniform(-1, 1, (2, 5, 6)).astype(np.float32)
-    p = ConvParams(3, 2, 3, 3, np.ones((3, 2, 3, 3)), np.zeros(3), pad=1)
+    p = ConvParams(np.ones((3, 2, 3, 3)), np.zeros(3), pad=1)
     board = CountingBoard()
     monkeypatch.setattr(tensor_ops, "_board", board)
     # A call of several bands is posted, which takes the lock.
@@ -570,70 +577,68 @@ def test_one_band_call_is_not_posted_and_raises_its_band_error(monkeypatch):
 
 
 def test_maxpool_single_window():
-    out = maxpool2d(t([[[1, 2], [3, 4]]]), 2, 2)
+    out = maxpool2d(t([[[1, 2], [3, 4]]]))
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == np.float32(4.0)
 
 
 def test_maxpool_ramp():
     x = t(np.arange(16, dtype=np.float32).reshape(1, 4, 4))
-    out = maxpool2d(x, 2, 2)
+    out = maxpool2d(x)
     np.testing.assert_array_equal(out, t([[[5, 7], [13, 15]]]))
 
 
 def test_maxpool_constant():
     x = t(np.full((2, 4, 4), 3.25))
-    out = maxpool2d(x, 2, 2)
+    out = maxpool2d(x)
     np.testing.assert_array_equal(out, np.full((2, 2, 2), np.float32(3.25)))
 
 
-def test_maxpool_window_too_large():
-    with pytest.raises(ShapeError, match="window"):
-        maxpool2d(t(np.zeros((1, 2, 2))), 3, 1)
+@pytest.mark.parametrize("shape", [(1, 1, 2), (1, 2, 1), (2, 1, 5)])
+def test_maxpool_window_too_large(shape):
+    with pytest.raises(ShapeError, match="2x2 window larger than input"):
+        maxpool2d(t(np.zeros(shape)))
 
 
 @settings(max_examples=100)
-@given(x=tensors(max_hw=7), window=st.integers(1, 3), stride=st.integers(1, 3))
-def test_maxpool_matches_loop_oracle(x, window, stride):
+@given(x=tensors(max_hw=7))
+def test_maxpool_matches_loop_oracle(x):
     _, h, w = x.shape
-    if window > h or window > w:
+    if h < 2 or w < 2:
         with pytest.raises(ShapeError):
-            maxpool2d(x, window, stride)
+            maxpool2d(x)
         return
-    got = maxpool2d(x, window, stride)
-    np.testing.assert_array_equal(got, maxpool2d_oracle(x, window, stride))
+    np.testing.assert_array_equal(maxpool2d(x), maxpool2d_oracle(x, 2, 2))
 
 
-@pytest.mark.parametrize("window,stride", [(3, 2), (1, 1), (2, 1), (2, 2)])
 @pytest.mark.parametrize("shape", [(2, 13, 17), (1, 16, 16), (3, 9, 24)])
-def test_maxpool_matches_loop_oracle_on_larger_maps(shape, window, stride):
+def test_maxpool_matches_loop_oracle_on_larger_maps(shape):
     x = np.random.default_rng(sum(shape)).uniform(-1, 1, shape).astype(np.float32)
-    got = maxpool2d(x, window, stride)
-    want = maxpool2d_oracle(x, window, stride)
+    got = maxpool2d(x)
+    want = maxpool2d_oracle(x, 2, 2)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("window,stride", [(2, 2), (2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("shape", [(3, 9, 11), (4, 32, 64)])
-def test_maxpool_keeps_the_last_of_equal_values(shape, window, stride):
+def test_maxpool_keeps_the_last_of_equal_values(shape):
     """Windows mixing +0.0 and -0.0: the fold keeps the last zero in
     (dy, dx) order, which shows in the bytes."""
-    rng = np.random.default_rng(window * 10 + stride + shape[1])
+    rng = np.random.default_rng(22 + shape[1])
     x = np.where(rng.random(shape) < 0.5, np.float32(-0.0), np.float32(0.0))
     x[rng.random(shape) < 0.2] = -1.0
-    got = maxpool2d(x, window, stride)
-    want = maxpool2d_oracle(x, window, stride, keep_last=True)
+    got = maxpool2d(x)
+    want = maxpool2d_oracle(x, 2, 2, keep_last=True)
     assert got.tobytes() == want.tobytes()
     # Kept by value alone (the first zero), some window would differ.
-    assert got.tobytes() != maxpool2d_oracle(x, window, stride).tobytes()
+    assert got.tobytes() != maxpool2d_oracle(x, 2, 2).tobytes()
 
 
-@pytest.mark.parametrize("window,stride", [(1, 1), (2, 2), (3, 2)])
-def test_maxpool_output_owns_its_memory(window, stride):
-    x = np.random.default_rng(5).uniform(-1, 1, (2, 8, 9)).astype(np.float32)
+@pytest.mark.parametrize("shape", [(2, 8, 9), (2, 7, 8), (1, 2, 2)])
+def test_maxpool_output_owns_its_memory(shape):
+    x = np.random.default_rng(5).uniform(-1, 1, shape).astype(np.float32)
     before = x.copy()
-    out = maxpool2d(x, window, stride)
+    out = maxpool2d(x)
     assert not np.shares_memory(out, x)
     out[...] = 7.0
     assert x.tobytes() == before.tobytes()
