@@ -29,6 +29,7 @@ documented on :func:`gen_weights`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -234,34 +235,40 @@ def decode_gt_mask(image: np.ndarray,
 
 
 def write_mask(mask: np.ndarray, palette: Sequence[Color], path) -> None:
-    """Write integer class labels as an RGB palette image (inverse of decode)."""
+    """Write integer class labels as an RGB palette image (inverse of
+    decode); the palette must pass :func:`parse_palette`'s rule."""
     m = np.asarray(mask)
     if m.ndim != 2 or not np.issubdtype(m.dtype, np.integer):
         raise ShapeError(f"mask must be a 2-D integer array, got {m.dtype} {m.shape}")
-    if m.size and (m.min() < 0 or m.max() >= len(palette)):
+    colors = _checked_palette((c, c) for c in palette)
+    if m.size and (m.min() < 0 or m.max() >= len(colors)):
         raise ShapeError(
-            f"mask labels must lie in [0, {len(palette)}), got range "
+            f"mask labels must lie in [0, {len(colors)}), got range "
             f"[{m.min()}, {m.max()}]"
         )
-    lut = np.asarray(palette, dtype=np.uint8)
+    lut = np.asarray(colors, dtype=np.uint8)
     # take() gathers whole rows several times faster than lut[m].
     write_pnm(path, lut.take(m, axis=0))
 
 
 def parse_palette(text: str) -> tuple[Color, ...]:
     """Parse "R,G,B:R,G,B:..." into a palette tuple, class index = position."""
+    return _checked_palette((part, part.split(",")) for part in text.split(":"))
+
+
+def _checked_palette(entries) -> tuple[Color, ...]:
+    """The palette of (name, values) entries: three integers (or decimal
+    strings) in 0..255 each, at least 2, all distinct, or FileFormatError."""
     colors: list[Color] = []
-    for part in text.split(":"):
-        fields = part.split(",")
-        if len(fields) != 3:
-            raise FileFormatError(f"palette entry {part!r} is not R,G,B")
-        try:
-            rgb = tuple(int(f) for f in fields)
-        except ValueError:
-            raise FileFormatError(f"palette entry {part!r} is not R,G,B") from None
-        if any(v < 0 or v > 255 for v in rgb):
-            raise FileFormatError(f"palette entry {part!r} out of range 0..255")
-        colors.append(rgb)  # type: ignore[arg-type]
+    for name, values in entries:
+        try:  # a count other than 3 fails the unpacking with ValueError
+            r, g, b = (int(v) if isinstance(v, str) else operator.index(v)
+                       for v in values)
+        except (TypeError, ValueError):
+            raise FileFormatError(f"palette entry {name!r} is not R,G,B") from None
+        if not 0 <= min(r, g, b) <= max(r, g, b) <= 255:
+            raise FileFormatError(f"palette entry {name!r} out of range 0..255")
+        colors.append((r, g, b))
     if len(colors) < 2:
         raise FileFormatError("palette needs at least 2 colors")
     if len(set(colors)) != len(colors):

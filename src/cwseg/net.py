@@ -201,21 +201,16 @@ def _conv_relu(net: StagedNet, stage: StageId, name: str, x: Tensor,
     return relu(out, out=out)
 
 
-def _check_input(x: Tensor, channels: int, h: int, w: int, what: str) -> Tensor:
-    x = as_chw(x)
-    expected = (channels, h, w)
-    if x.shape != expected:
-        raise ShapeError(f"{what}: expected shape {expected}, got {x.shape}")
-    return x
-
-
 def run_stage1(net, frame: Tensor, work: WorkCounter | None = None):
     """Run the shallow stage: three blocks to stride 8 plus score_pool3.
 
     Returns (pool3_features, score_pool3).
     """
     cfg = net.cfg
-    x = _check_input(frame, cfg.in_channels, cfg.height, cfg.width, "frame")
+    x = as_chw(frame)
+    expected = (cfg.in_channels, cfg.height, cfg.width)
+    if x.shape != expected:
+        raise ShapeError(f"frame: expected shape {expected}, got {x.shape}")
     for pair in (("conv1_1", "conv1_2"), ("conv2_1", "conv2_2"), ("conv3_1", "conv3_2")):
         for name in pair:
             x = _conv_relu(net, StageId.STAGE1, name, x, work)
@@ -224,26 +219,19 @@ def run_stage1(net, frame: Tensor, work: WorkCounter | None = None):
 
 
 def run_stage2(net, pool3_features: Tensor, work: WorkCounter | None = None):
-    """Run the middle stage to stride 16; returns (pool4_features, score_pool4)."""
-    cfg = net.cfg
-    x = _check_input(
-        pool3_features, 4 * cfg.base_width, cfg.height // 8, cfg.width // 8,
-        "pool3_features",
-    )
-    for name in ("conv4_1", "conv4_2"):
-        x = _conv_relu(net, StageId.STAGE2, name, x, work)
+    """Run the middle stage to stride 16 on stage 1's map as it is (its
+    first conv2d refuses a wrong channel count); returns (pool4_features,
+    score_pool4)."""
+    x = _conv_relu(net, StageId.STAGE2, "conv4_1", pool3_features, work)
+    x = _conv_relu(net, StageId.STAGE2, "conv4_2", x, work)
     x = maxpool2d(x)
     return x, _conv(net, StageId.STAGE2, "score_pool4", x, work)
 
 
 def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> Tensor:
-    """Run the deep stage to stride 32; returns score_fr."""
-    cfg = net.cfg
-    x = _check_input(
-        pool4_features, 8 * cfg.base_width, cfg.height // 16, cfg.width // 16,
-        "pool4_features",
-    )
-    x = _conv_relu(net, StageId.STAGE3, "conv5_1", x, work)
+    """Run the deep stage to stride 32 on stage 2's map as it is (its first
+    conv2d refuses a wrong channel count); returns score_fr."""
+    x = _conv_relu(net, StageId.STAGE3, "conv5_1", pool4_features, work)
     x = _conv_relu(net, StageId.STAGE3, "conv5_2", x, work)
     x = maxpool2d(x)
     return _conv(net, StageId.STAGE3, "score_fr", x, work)
@@ -251,15 +239,10 @@ def run_stage3(net, pool4_features: Tensor, work: WorkCounter | None = None) -> 
 
 def fuse_and_upsample(net, score_fr: Tensor, score_pool4: Tensor,
                       score_pool3: Tensor) -> Tensor:
-    """Skip-fuse the three score maps up to full input resolution; a
-    non-finite result (neighbouring scores that differ by more than
-    float32's maximum overflow the upsampling) raises NumericError."""
-    c = net.cfg.num_classes
-    for name, t in (("score_fr", score_fr), ("score_pool4", score_pool4),
-                    ("score_pool3", score_pool3)):
-        t = as_chw(t)
-        if t.shape[0] != c:
-            raise ShapeError(f"{name}: expected {c} class channels, got {t.shape[0]}")
+    """Skip-fuse the stages' three score maps, as they are, up to full input
+    resolution. A wrong class count is ``add``'s ShapeError. A sum or a lerp
+    that overflows float32 leaves non-finite cells that every later lerp
+    keeps, so one check of the result raises NumericError for all of them."""
     u = upsample_bilinear(score_fr, 2)
     u = add(u, crop_center(score_pool4, u.shape[1], u.shape[2]))
     u = upsample_bilinear(u, 2)

@@ -7,8 +7,9 @@ Each kernel's result depends only on its inputs, which it never mutates
 give bit-identical outputs whichever thread runs a ``conv2d`` band posted on
 the module's board, so tensors can be shared freely across threads.
 Tensors are checked where they enter the package (frames, weight stores,
-``conv2d`` and ``maxpool2d``); the elementwise kernels check only that
-their shapes agree.
+``conv2d`` and ``maxpool2d``) and nowhere else: the other kernels check
+only that shapes agree (and ``upsample_bilinear`` its factor). Non-finite
+values are refused in ``conv2d``'s output and in the net's fused scores.
 
 The kernels take only the forms the net calls, those of the VGG trunk of
 FCN-8s: every ``conv2d`` runs at stride 1, and every ``maxpool2d`` is 2x2
@@ -403,15 +404,12 @@ def _axis_coords(n_in: int, factor: int):
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling by an integer factor >= 1.
-
-    Uses the lerp form a + t*(b - a) so constant inputs are reproduced
-    exactly and factor 1 is the identity.
-    """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise NumericError(f"upsample factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return x.copy()
+    """Bilinear upsampling by an integer factor >= 2 (the net's are 2 and 8)
+    in the lerp form a + t*(b - a), which reproduces constant inputs exactly.
+    A non-finite input cell makes each output cell that reads it non-finite
+    (0*inf is NaN)."""
+    if not isinstance(factor, (int, np.integer)) or factor < 2:
+        raise NumericError(f"upsample factor must be an integer >= 2, got {factor!r}")
     _, h, w = x.shape
     y_lo, y_hi, ty = _axis_coords(h, factor)
     x_lo, x_hi, tx = _axis_coords(w, factor)
@@ -438,13 +436,11 @@ def crop_center(x: Tensor, target_h: int, target_w: int) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors with identical shapes."""
+    """Elementwise sum of two tensors with identical shapes; an overflow is
+    left for the net's check of its fused scores."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = a + b
-    if not np.isfinite(out).all():
-        raise NumericError("add produced non-finite values")
-    return out
+    return a + b
 
 
 def mean_abs_diff(a: Tensor, b: Tensor) -> float:

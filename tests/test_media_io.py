@@ -319,6 +319,29 @@ def test_parse_palette():
         parse_palette("1,2,3:1,2,3")
 
 
+@pytest.mark.parametrize("palette,error", [
+    (((0, 0, 0), (300, 0, 0)), "palette entry {} out of range 0..255"),
+    (((0, 0, 0), (0, -1, 0)), "palette entry {} out of range 0..255"),
+    (((0, 0, 0), (255, 0)), "palette entry {} is not R,G,B"),
+    (((0, 0, 0), (1.5, 0, 0)), "palette entry {} is not R,G,B"),
+    (((0, 0, 0), (0, 0, 0)), "palette colors must be distinct"),
+    (((0, 0, 0),), "palette needs at least 2 colors"),
+], ids=["over-255", "negative", "two-values", "fraction", "repeat", "one"])
+def test_write_mask_refuses_what_parse_palette_refuses(tmp_path, palette,
+                                                        error):
+    """write_mask holds its palette to parse_palette's rule, with the same
+    errors naming the entry as given: no numpy OverflowError for 300, and
+    no mask with two black labels."""
+    last = palette[-1]
+    with pytest.raises(FileFormatError) as text_error:
+        parse_palette(":".join(",".join(map(str, c)) for c in palette))
+    assert str(text_error.value) == error.format(repr(",".join(map(str, last))))
+    with pytest.raises(FileFormatError) as mask_error:
+        write_mask(np.zeros((2, 3), dtype=np.int64), palette, tmp_path / "m.ppm")
+    assert str(mask_error.value) == error.format(repr(last))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (5, 9), (1, 1, 3), (6, 11, 3)])
 def test_unscaled_planes_are_the_rounded_scaled_image(shape, tmp_path):
     rng = np.random.default_rng(sum(shape) + 1)
@@ -491,15 +514,16 @@ def test_write_pnm_matches_joined_writer(tmp_path_factory, px, how):
 
 
 @settings(max_examples=60)
-@given(n=st.integers(1, 5), h=st.integers(1, 6), w=st.integers(1, 6),
+@given(n=st.integers(2, 5), h=st.integers(1, 6), w=st.integers(1, 6),
        dtype=st.sampled_from([np.int8, np.uint8, np.int32, np.int64,
                               np.uint64, np.intp]),
        seed=st.integers(0, 2**32 - 1), how=_LAYOUTS)
 def test_write_mask_matches_joined_writer(tmp_path_factory, n, h, w, dtype,
                                           seed, how):
     rng = np.random.default_rng(seed)
-    palette = tuple(tuple(int(v) for v in c)
-                    for c in rng.integers(0, 256, (n, 3)))
+    # n distinct colours: write_mask refuses a palette that repeats one.
+    palette = tuple((int(c) >> 16, int(c) >> 8 & 255, int(c) & 255)
+                    for c in rng.choice(1 << 24, n, replace=False))
     mask = _layout(rng.integers(0, n, (h, w)).astype(dtype), how)
     d = tmp_path_factory.mktemp("mask")
     write_mask(mask, palette, d / "new.ppm")

@@ -127,13 +127,32 @@ def test_fusion_refuses_non_finite_output():
         fuse_and_upsample(net, z32, z16, s8)
 
 
-def test_fusion_rejects_wrong_class_channels():
+def test_fusion_overflow_in_the_first_add_is_caught_at_the_end():
+    """score_fr upsampled plus score_pool4 overflows float32; the x2 and x8
+    lerps carry the non-finite cells to the fused result."""
     net = tiny_net()
-    bad = np.zeros((5, 1, 1), dtype=np.float32)
-    ok16 = np.zeros((2, 2, 2), dtype=np.float32)
-    ok8 = np.zeros((2, 4, 4), dtype=np.float32)
-    with pytest.raises(ShapeError, match="class channels"):
-        fuse_and_upsample(net, bad, ok16, ok8)
+    c = net.cfg.num_classes
+    s32 = np.zeros((c, 1, 1), dtype=np.float32)
+    s16 = np.zeros((c, 2, 2), dtype=np.float32)
+    s32[0], s16[0] = 3e38, 3e38
+    z8 = np.zeros((c, 4, 4), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError,
+                          match="^fusion produced non-finite values$"):
+        fuse_and_upsample(net, s32, s16, z8)
+
+
+def test_fusion_rejects_wrong_class_channels():
+    """Fusion takes the maps as they are: ``add`` refuses a class count that
+    differs from the others'."""
+    net = tiny_net()
+
+    def z(c, n):
+        return np.zeros((c, n, n), dtype=np.float32)
+
+    for maps in ((z(5, 1), z(2, 2), z(2, 4)), (z(2, 1), z(2, 2), z(5, 4))):
+        with pytest.raises(ShapeError, match="^add: shape mismatch"):
+            fuse_and_upsample(net, *maps)
 
 
 @pytest.mark.parametrize("h,w", [(32, 32), (64, 64), (32, 96), (96, 32),
@@ -167,6 +186,18 @@ def test_net_rejects_wrong_frame_size():
     net = tiny_net()
     with pytest.raises(ShapeError, match="expected shape"):
         run_stage1(net, make_frame(3, 64, 64))
+
+
+@pytest.mark.parametrize("stage,channels", [(run_stage2, 8), (run_stage3, 16)])
+def test_deeper_stages_refuse_wrong_channels_at_their_first_conv(stage,
+                                                                 channels):
+    """Stages 2 and 3 take their input as it is; a wrong channel count is
+    the ShapeError of their first conv2d."""
+    net = tiny_net()
+    x = np.zeros((channels + 1, 4, 4), dtype=np.float32)
+    with pytest.raises(ShapeError, match=f"^conv2d: expected {channels} "
+                                         f"input channels, got {channels + 1}$"):
+        stage(net, x)
 
 
 def test_build_net_missing_entry_names_it():

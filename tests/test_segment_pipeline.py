@@ -355,6 +355,34 @@ def test_fusion_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys):
     assert not (tmp_path / "out" / "trace.jsonl").exists()
 
 
+def test_fusion_add_overflow_exits_4_with_earlier_masks_only(tmp_path, capsys):
+    # Every conv carries channel 0 of its input through its centre tap, so
+    # stage 3's map is 1 on the white frame and 0 on black ones; score_fr
+    # scales it by 3e38 and score_pool4 is 3e38 on every frame. On the white
+    # frame fusion's first add overflows, and no kernel checks the sum: the
+    # x2 and x8 lerps carry it to fusion's check of its result.
+    store = {k: np.zeros_like(v) for k, v in gen_weights(CFG, 7).items()}
+    for name in ("conv1_1", "conv1_2", "conv2_1", "conv2_2", "conv3_1",
+                 "conv3_2", "conv4_1", "conv4_2", "conv5_1", "conv5_2"):
+        k = store[name].shape[-1] // 2
+        store[name][0, 0, k, k] = 1.0
+    store["score_fr"][0, 0] = 3e38
+    store["score_pool4.bias"][0] = 3e38
+    weights = tmp_path / "fusion_add.cwf"
+    write_weights(store, weights)
+    black = np.zeros((3, 32, 32), dtype=np.float32)
+    frames = [black, black, np.ones_like(black), black]
+    manifest, paths = write_sequence(tmp_path, frames)
+
+    assert segment([manifest, "--weights", weights, "--out",
+                    tmp_path / "out"]) == 4
+    assert capsys.readouterr().err == (
+        "error: fusion produced non-finite values\n")
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.ppm"))
+    assert written == [p.name for p in paths[:2]]
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
+
+
 @pytest.mark.parametrize("bad", [1, 4])
 def test_stage3_overflow_served_by_helper_exits_4_with_earlier_masks_only(
         tmp_path, capsys, monkeypatch, bad):

@@ -13,6 +13,7 @@ from cwseg import (
     Always,
     ConvParams,
     NetConfig,
+    NumericError,
     ShapeError,
     SkipPolicy,
     add,
@@ -659,13 +660,6 @@ def test_relu_examples():
 # upsample_bilinear
 
 
-def test_upsample_factor_one_is_identity():
-    x = t(np.arange(12, dtype=np.float32).reshape(3, 2, 2))
-    out = upsample_bilinear(x, 1)
-    assert out.tobytes() == x.tobytes()
-    assert out is not x
-
-
 def test_upsample_constant_cell():
     out = upsample_bilinear(t([[[5.0]]]), 4)
     np.testing.assert_array_equal(out, np.full((1, 4, 4), np.float32(5.0)))
@@ -679,11 +673,12 @@ def test_upsample_two_point_row():
     )
 
 
-def test_upsample_bad_factor():
-    with pytest.raises(ValueError):
-        upsample_bilinear(t([[[1.0]]]), 0)
-    with pytest.raises(ValueError):
-        upsample_bilinear(t([[[1.0]]]), 2.0)
+@pytest.mark.parametrize("factor", [1, 0, -2, 2.0, np.float32(8)])
+def test_upsample_bad_factor(factor):
+    """The net upsamples by 2 and 8 only; factor 1 is refused, not copied."""
+    with pytest.raises(NumericError, match="upsample factor must be an "
+                                           "integer >= 2"):
+        upsample_bilinear(t([[[1.0]]]), factor)
 
 
 @settings(max_examples=100)
@@ -692,7 +687,7 @@ def test_upsample_bad_factor():
     c=st.integers(1, 3),
     h=st.integers(1, 5),
     w=st.integers(1, 5),
-    factor=st.integers(1, 4),
+    factor=st.integers(2, 4),
 )
 def test_upsample_constant_stays_constant(fill, c, h, w, factor):
     x = np.full((c, h, w), fill, dtype=np.float32)
@@ -719,7 +714,7 @@ SPECIAL_FLOATS = st.floats(width=32) | st.sampled_from(
     x=st.integers(1, 3).flatmap(lambda c: st.integers(1, 9).flatmap(
         lambda h: st.integers(1, 9).flatmap(lambda w: arrays(
             np.float32, (c, h, w), elements=SPECIAL_FLOATS)))),
-    factor=st.integers(1, 8),
+    factor=st.integers(2, 8),
 )
 def test_upsample_matches_frozen_fancy_index_copy_bytes(x, factor):
     with np.errstate(all="ignore"):
@@ -727,6 +722,28 @@ def test_upsample_matches_frozen_fancy_index_copy_bytes(x, factor):
         want = upsample_bilinear_fancy(x, factor)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=tensors(max_c=2, max_hw=6, lo=-2.0**100, hi=2.0**100), data=st.data(),
+       bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+       factor=st.sampled_from([2, 8]))
+def test_upsample_makes_any_one_non_finite_cell_non_finite(x, data, bad,
+                                                            factor):
+    """Fusion checks only its result, so a non-finite cell in the input of
+    any of its upsamplings (by 2, 2 and 8) must reach the output: exactly
+    the output cells whose lerps read it are non-finite."""
+    c, h, w = x.shape
+    ci, yi, xi = (data.draw(st.integers(0, n - 1)) for n in (c, h, w))
+    x[ci, yi, xi] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = upsample_bilinear(x, factor)
+    y_lo, y_hi, _ = tensor_ops._axis_coords(h, factor)
+    x_lo, x_hi, _ = tensor_ops._axis_coords(w, factor)
+    want = np.zeros(out.shape, dtype=bool)
+    want[ci] = np.outer((y_lo == yi) | (y_hi == yi), (x_lo == xi) | (x_hi == xi))
+    assert want.any()
+    np.testing.assert_array_equal(~np.isfinite(out), want)
 
 
 def test_upsample_coordinates_are_cached_and_read_only():
